@@ -172,8 +172,3 @@ def canonical_response(canon: CanonicalModel, z) -> float:
     zz = _as_vector(canon, z, "canonical coordinates")
     return float(canon.y0 + canon.lambdas @ (zz * zz))
 
-
-def fluctuation(canon: CanonicalModel, point) -> float:
-    """Y - Y0 measured in the canonical frame at an original-space point."""
-    z = to_canonical(canon, point)
-    return float(canon.lambdas @ (z * z))

@@ -21,12 +21,12 @@ from .fitting import Dataset, ols_fit
 from .model import predict_response
 from .modelio import (
     EMISSIONS_NAMES,
+    atomic_write,
     emit_plot_csv,
     file_digest,
     load_emissions,
     load_model,
     save_model,
-    _atomic_write,
 )
 from .regions import ellipse_region, hyperbola_region, region_kind
 from .report import run_analysis
@@ -75,7 +75,7 @@ def _write_or_print(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        _atomic_write(path, text)
+        atomic_write(path, text)
 
 
 def _cmd_analyze(args) -> int:

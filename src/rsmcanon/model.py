@@ -149,7 +149,7 @@ def _as_point(model: QuadraticModel, point) -> np.ndarray:
     x = np.asarray(point, dtype=float)
     if x.shape != (model.n,):
         raise DimensionMismatch(f"point has shape {x.shape}, expected ({model.n},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DimensionMismatch("point entries must be finite")
     return x
 
@@ -157,7 +157,7 @@ def _as_point(model: QuadraticModel, point) -> np.ndarray:
 def evaluate_matrix(model: QuadraticModel, point) -> float:
     """Transformed response in the matrix picture, b0 + beta'X + X'BX."""
     x = _as_point(model, point)
-    return float(model.intercept + model.linear @ x + x @ (model.interaction @ x))
+    return float(model.intercept + model.linear @ x + x @ (model.interaction.array @ x))
 
 
 def evaluate_terms(model: QuadraticModel, point) -> float:

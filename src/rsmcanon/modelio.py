@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NegativeEmission, ParseError, SchemaError
 from .model import ModelTerm, QuadraticModel, build_model
-from .regions import DEFAULT_T_MAX, RegionParametrization, boundary_points
+from .regions import DEFAULT_T_MAX, RegionParametrization, _sample
 
 _MODEL_KEYS = {"variables", "exponent", "intercept", "terms", "response_label"}
 
@@ -37,10 +37,15 @@ EMISSIONS_FIELDS = ("liquid", "gas", "gas_flares", "bunker")
 EMISSIONS_NAMES = ("Li", "Ga", "Fl", "Bu")
 
 
-def _atomic_write(path, text: str) -> None:
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename,
+    with the mode a plain ``open`` would give (0o666 less the umask)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -130,7 +135,7 @@ def save_model(model: QuadraticModel, path, metadata: dict | None = None) -> Non
         if not key.startswith("reference_"):
             raise SchemaError(f"metadata keys must start with 'reference_', got {key!r}")
         doc[key] = value
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def bundled_eu_model_path():
@@ -261,33 +266,16 @@ def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFA
     """Render region boundary samples as CSV text, optionally to a file.
 
     Columns: ``param,r,z_<i>,z_<j>,<variable names...>``. Ellipses emit
-    ``count`` rows tracing a closed curve (the last row repeats the
-    first); hyperbolas emit ``count`` rows per branch (r = +1 and
-    r = -1), 2*count in total.
+    ``count`` rows tracing a closed curve (the last row equals the first
+    up to rounding); hyperbolas emit ``count`` rows per branch (r = +1,
+    then r = -1), 2*count in total. Raises InputError for count < 2 or a
+    t_max that is not positive and finite.
     """
+    t, r, z, x = _sample(region, count, t_max, closed=True)
     i, j = region.pair
-    header = ["param", "r", f"z_{i}", f"z_{j}", *region.names]
-    lines = [",".join(header)]
-
-    def add(param: float, r: float, z1: float, z2: float, x) -> None:
-        cells = [repr(float(param)), repr(float(r)), repr(float(z1)), repr(float(z2))]
-        cells += [repr(float(v)) for v in x]
-        lines.append(",".join(cells))
-
-    if region.kind.is_elliptical:
-        a_i, a_j = region.semiaxes
-        for t in np.linspace(0.0, 2.0 * np.pi, count):
-            c1, c2 = np.cos(t), np.sin(t)
-            x = region.affine[:, 0] + region.affine[:, 1] * c1 + region.affine[:, 2] * c2
-            add(t, 1.0, a_i * c1, a_j * c2, x)
-    else:
-        for branch in (1.0, -1.0):
-            for t, (z1, z2), _ in boundary_points(region, count, t_max):
-                x = region.affine[:, 0] + branch * (
-                    region.affine[:, 1] * np.cosh(t) + region.affine[:, 2] * np.sinh(t))
-                add(t, branch, branch * z1, branch * z2, x)
-
+    lines = [",".join(["param", "r", f"z_{i}", f"z_{j}", *region.names])]
+    lines += [",".join(map(repr, row)) for row in np.column_stack([t, r, z, x]).tolist()]
     text = "\n".join(lines) + "\n"
     if path is not None:
-        _atomic_write(path, text)
+        atomic_write(path, text)
     return text

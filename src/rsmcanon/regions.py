@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import ZERO_TOL_FACTOR, CanonicalModel, fluctuation, from_canonical
+from .canonical import ZERO_TOL_FACTOR, CanonicalModel, to_canonical
 from .errors import (
     DegeneratePair,
     IndexOutOfRange,
@@ -171,41 +171,64 @@ def hyperbola_region(canon: CanonicalModel, i: int, j: int, bound: float,
     )
 
 
-def boundary_points(region: RegionParametrization, count: int,
-                    t_max: float = DEFAULT_T_MAX) -> list[tuple[float, tuple[float, float], np.ndarray]]:
-    """Sample the r = 1 boundary at evenly spaced parameter values.
+def _sample(region: RegionParametrization, count: int, t_max: float,
+            closed: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary samples as arrays: param (m,), r (m,), z (m, 2) and x (m, n).
 
-    Ellipses are sampled at t = 2*pi*k/count (endpoint excluded, so
-    count = 4 hits the four vertices); hyperbolas at count points
-    spanning [-t_max, t_max] inclusive. Returns
-    (parameter, (z_i, z_j), original-variable point) triples.
+    The closed-curve rule: a ``closed`` ellipse is sampled at
+    linspace(0, 2*pi, count), endpoint included, so its last row closes
+    the curve (equal to the first only up to rounding: sin(2*pi) is about
+    -2.4e-16); an open one at t = 2*pi*k/count, endpoint excluded, so
+    count = 4 hits the four vertices. A hyperbola is sampled at count
+    points spanning [-t_max, t_max] inclusive on the r = +1 branch, and
+    ``closed`` appends the r = -1 branch.
     """
     if count < 2:
         raise InputError(f"need at least 2 samples, got {count}")
+    if not 0.0 < t_max < np.inf:
+        raise InputError(f"t_max must be positive and finite, got {t_max!r}")
     if region.kind.is_elliptical:
-        params = 2.0 * np.pi * np.arange(count) / count
-        basis1, basis2 = np.cos(params), np.sin(params)
+        t = (np.linspace(0.0, 2.0 * np.pi, count) if closed
+             else 2.0 * np.pi * np.arange(count) / count)
+        r, c1, c2 = np.ones(count), np.cos(t), np.sin(t)
     else:
-        params = np.linspace(-t_max, t_max, count)
-        basis1, basis2 = np.cosh(params), np.sinh(params)
-    a_i, a_j = region.semiaxes
-    out = []
-    for t, c1, c2 in zip(params, basis1, basis2):
-        z = (a_i * c1, a_j * c2)
-        x = region.affine[:, 0] + region.affine[:, 1] * c1 + region.affine[:, 2] * c2
-        out.append((float(t), z, x))
-    return out
+        t = np.tile(np.linspace(-t_max, t_max, count), 1 + closed)
+        r = np.repeat((1.0, -1.0)[:1 + closed], count)
+        c1, c2 = r * np.cosh(t), r * np.sinh(t)
+    a = region.affine
+    b1, b2 = a[:, 1] * c1[:, None], a[:, 2] * c2[:, None]
+    # Closed hyperbola rows round as center + r * (b1 + b2), the others as
+    # (center + b1) + b2, so CSV and boundary_points values keep their bits.
+    x = a[:, 0] + (b1 + b2) if closed and region.unbounded else a[:, 0] + b1 + b2
+    return t, r, np.column_stack([region.semiaxes[0] * c1, region.semiaxes[1] * c2]), x
+
+
+def boundary_points(region: RegionParametrization, count: int,
+                    t_max: float = DEFAULT_T_MAX) -> list[tuple[float, tuple[float, float], np.ndarray]]:
+    """Sample the r = 1 boundary at evenly spaced parameter values, open
+    curve (see ``_sample``). Returns (parameter, (z_i, z_j),
+    original-variable point) triples.
+    """
+    t, _, z, x = _sample(region, count, t_max)
+    return [(p, (z1, z2), xk) for p, (z1, z2), xk in zip(t.tolist(), z.tolist(), x)]
 
 
 def contains(canon: CanonicalModel, point, bound: float) -> bool:
     """Membership test |Y - Y0| <= M, evaluated in the canonical frame.
 
     Boundary points constructed at r = 1 satisfy equality up to
-    roundoff and are counted as inside.
+    roundoff and are counted as inside. That roundoff grows with
+    sum_k |lambda_k| z_k^2 where the terms cancel, as on a hyperbola far
+    along its asymptotes, so the slack is relative to that sum as well
+    as to M.
     """
     if not bound > 0.0:
         raise NonPositiveBound(f"bound must be positive, got {bound!r}")
-    return abs(fluctuation(canon, point)) <= bound * (1.0 + CONTAINS_SLACK)
+    z = to_canonical(canon, point)
+    zz = z * z
+    fluct = abs(float(canon.lambdas @ zz))
+    return (fluct <= bound * (1.0 + CONTAINS_SLACK)
+            or fluct <= bound + CONTAINS_SLACK * float(np.abs(canon.lambdas) @ zz))
 
 
 def max_intervals(region: RegionParametrization) -> list[tuple[str, float, float]]:

@@ -1,6 +1,8 @@
 """File formats, report generation, and the command line."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from eu_reference import EU_WORKED_CENTER
 M_IPCC = 1e-8
 
 EMISSIONS_HEADER = "year,country,liquid,gas,gas_flares,bunker,co2_ppmv"
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestModelFiles:
@@ -222,6 +226,35 @@ class TestPlotCsv:
         rs = {line.split(",")[1] for line in lines[1:]}
         assert rs == {"1.0", "-1.0"}
 
+    @pytest.mark.parametrize("name, build, pair, count, t_max", [
+        ("eu_ellipse_1_3.csv", rc.ellipse_region, (1, 3), 360, 3.0),
+        ("eu_hyperbola_2_3.csv", rc.hyperbola_region, (2, 3), 100, 2.5),
+    ])
+    def test_matches_golden(self, eu_canon, name, build, pair, count, t_max):
+        # The golden files hold the output of the earlier row-by-row
+        # emitter. z_j is 0.0 at t = 0, so each column has an absolute
+        # floor of 1e-12 times its largest value.
+        golden = (GOLDEN / name).read_text().splitlines()
+        lines = rc.emit_plot_csv(build(eu_canon, *pair, M_IPCC), count, t_max).splitlines()
+        assert lines[0] == golden[0]
+        assert len(lines) == len(golden)
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        want = np.array([[float(v) for v in line.split(",")] for line in golden[1:]])
+        bad = np.abs(got - want) > 1e-12 * (np.abs(want) + np.abs(want).max(axis=0))
+        assert not bad.any(), f"{bad.sum()} cells differ, first at {np.argwhere(bad)[0]}"
+
+    @pytest.mark.parametrize("count", [1, 0, -3])
+    def test_too_few_samples_rejected(self, eu_canon, count):
+        for region in (rc.ellipse_region(eu_canon, 1, 3, M_IPCC),
+                       rc.hyperbola_region(eu_canon, 2, 3, M_IPCC)):
+            with pytest.raises(rc.InputError):
+                rc.emit_plot_csv(region, count)
+
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), 0.0, -2.5])
+    def test_bad_t_max_rejected(self, eu_canon, t_max):
+        with pytest.raises(rc.InputError):
+            rc.emit_plot_csv(rc.hyperbola_region(eu_canon, 2, 3, M_IPCC), 10, t_max)
+
     def test_every_row_inside_bound(self, eu_canon):
         for region in (rc.ellipse_region(eu_canon, 1, 3, M_IPCC),
                        rc.hyperbola_region(eu_canon, 2, 3, M_IPCC)):
@@ -310,3 +343,23 @@ class TestCli:
 
     def test_bad_pair_is_input_error(self, model_path, capsys):
         assert main(["regions", model_path, "--pair", "1-3"]) == 2
+
+    def test_regions_one_sample_is_input_error(self, model_path, capsys):
+        assert main(["regions", model_path, "--pair", "1,3", "--samples", "1"]) == 2
+        assert "InputError" in capsys.readouterr().err
+
+    def test_regions_nan_t_max_is_input_error(self, model_path, capsys):
+        assert main(["regions", model_path, "--pair", "2,3", "--t-max", "nan"]) == 2
+        assert "InputError" in capsys.readouterr().err
+
+    def test_output_files_get_umask_mode(self, eu_model, eu_canon, model_path, tmp_path):
+        old = os.umask(0o022)
+        try:
+            rc.save_model(eu_model, tmp_path / "m.json")
+            rc.emit_plot_csv(rc.ellipse_region(eu_canon, 1, 3, M_IPCC), 10,
+                             path=tmp_path / "r.csv")
+            main(["tradeoff", model_path, "-o", str(tmp_path / "t.txt")])
+        finally:
+            os.umask(old)
+        for name in ("m.json", "r.csv", "t.txt"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644

@@ -6,6 +6,7 @@ import pytest
 from rsmcanon import (
     CanonicalModel,
     DegeneratePair,
+    InputError,
     NonPositiveBound,
     RegionKind,
     WrongKind,
@@ -160,6 +161,16 @@ class TestBoundaryPoints:
         displaced = sorted([li_at_quarter, li_at_three_quarters])
         assert displaced[0] == pytest.approx(534271.0 - 6130.09, abs=0.1)
         assert displaced[1] == pytest.approx(534271.0 + 6130.09, abs=0.1)
+
+    @pytest.mark.parametrize("count, t_max", [
+        (1, 3.0), (0, 3.0), (-3, 3.0),
+        (10, float("nan")), (10, float("inf")), (10, 0.0), (10, -2.5),
+    ])
+    def test_bad_arguments_rejected(self, eu_canon, count, t_max):
+        for region in (ellipse_region(eu_canon, 1, 3, M_IPCC),
+                       hyperbola_region(eu_canon, 2, 3, M_IPCC)):
+            with pytest.raises(InputError):
+                boundary_points(region, count, t_max)
 
     def test_all_points_contained(self, eu_canon):
         for region in (ellipse_region(eu_canon, 1, 3, M_IPCC),
