@@ -19,6 +19,7 @@ probabilistic coverage set.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,19 +217,22 @@ def boundary_points(region: RegionParametrization, count: int,
 def contains(canon: CanonicalModel, point, bound: float) -> bool:
     """Membership test |Y - Y0| <= M, evaluated in the canonical frame.
 
-    Boundary points constructed at r = 1 satisfy equality up to
-    roundoff and are counted as inside. That roundoff grows with
-    sum_k |lambda_k| z_k^2 where the terms cancel, as on a hyperbola far
-    along its asymptotes, so the slack is relative to that sum as well
-    as to M.
+    Points within roundoff of the boundary, such as the boundary
+    samples, count as inside. The slack is CONTAINS_SLACK times M or,
+    where larger, times sum_k |lambda_k z_k| (|z_k| + |x| + |center|).
+    Rounding x and the center moves each z_k by about eps (|x| +
+    |center|), which moves |Y - Y0| by far more than eps M where the
+    terms cancel (a hyperbola far along its asymptotes) or where the
+    point is far from the origin.
     """
     if not bound > 0.0:
         raise NonPositiveBound(f"bound must be positive, got {bound!r}")
     z = to_canonical(canon, point)
-    zz = z * z
-    fluct = abs(float(canon.lambdas @ zz))
-    return (fluct <= bound * (1.0 + CONTAINS_SLACK)
-            or fluct <= bound + CONTAINS_SLACK * float(np.abs(canon.lambdas) @ zz))
+    fluct = abs(float(canon.lambdas @ (z * z)))
+    if fluct <= bound * (1.0 + CONTAINS_SLACK):
+        return True
+    h = math.sqrt(np.dot(point, point)) + math.sqrt(canon.center @ canon.center)
+    return fluct <= bound + CONTAINS_SLACK * float(np.abs(canon.lambdas * z) @ (np.abs(z) + h))
 
 
 def max_intervals(region: RegionParametrization) -> list[tuple[str, float, float]]:

@@ -243,17 +243,15 @@ class TestPlotCsv:
         bad = np.abs(got - want) > 1e-12 * (np.abs(want) + np.abs(want).max(axis=0))
         assert not bad.any(), f"{bad.sum()} cells differ, first at {np.argwhere(bad)[0]}"
 
-    @pytest.mark.parametrize("count", [1, 0, -3])
-    def test_too_few_samples_rejected(self, eu_canon, count):
+    @pytest.mark.parametrize("count, t_max", [
+        (1, 3.0), (0, 3.0), (-3, 3.0),
+        (10, float("nan")), (10, float("inf")), (10, 0.0), (10, -2.5),
+    ])
+    def test_bad_arguments_rejected(self, eu_canon, count, t_max):
         for region in (rc.ellipse_region(eu_canon, 1, 3, M_IPCC),
                        rc.hyperbola_region(eu_canon, 2, 3, M_IPCC)):
             with pytest.raises(rc.InputError):
-                rc.emit_plot_csv(region, count)
-
-    @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), 0.0, -2.5])
-    def test_bad_t_max_rejected(self, eu_canon, t_max):
-        with pytest.raises(rc.InputError):
-            rc.emit_plot_csv(rc.hyperbola_region(eu_canon, 2, 3, M_IPCC), 10, t_max)
+                rc.emit_plot_csv(region, count, t_max)
 
     def test_every_row_inside_bound(self, eu_canon):
         for region in (rc.ellipse_region(eu_canon, 1, 3, M_IPCC),

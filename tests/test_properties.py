@@ -2,10 +2,10 @@
 
 The strategies build B = Q diag(lambda) Q' from a random orthogonal Q,
 with mixed eigenvalue signs and |lambda| graded over four decades at
-the EU model's scale (about 1e-16). The stationary point sits up to a
-hundred semiaxes from the origin, as the EU center does (about 87 for
-Li). Every row of ``boundary_points`` and ``emit_plot_csv`` is checked
-against the conic it should lie on.
+the EU model's scale (about 1e-16). The stationary point sits up to
+1e4 semiaxes from the origin; the EU center is about 87 semiaxes out
+at M = 1e-8, and 8,700 at M = 1e-12. Every row of ``boundary_points``
+and ``emit_plot_csv`` is checked against the conic it should lie on.
 """
 
 import io
@@ -33,7 +33,7 @@ def graded_canon(draw):
     lam = signs * LAMBDA_SCALE * 10.0 ** decades
     b = (q * lam) @ q.T
     bound = 10.0 ** draw(st.floats(-10.0, -6.0))
-    reach = 10.0 ** draw(st.floats(0.0, 2.0)) * np.sqrt(bound / np.abs(lam).max())
+    reach = 10.0 ** draw(st.floats(0.0, 4.0)) * np.sqrt(bound / np.abs(lam).max())
     center = reach * draw(arrays(float, (n,), elements=unit))
     model = rc.QuadraticModel(tuple(f"x{k}" for k in range(1, n + 1)), 1.0,
                               -2.0 * b @ center, rc.SymMatrix(b), 1.0)

@@ -189,6 +189,16 @@ class TestContains:
         _, _, x = boundary_points(region, 7)[3]
         assert contains(eu_canon, x, M_IPCC)
 
+    @pytest.mark.parametrize("bound", [1e-12, 1e-14])
+    def test_boundary_points_inside_at_small_bounds(self, eu_canon, bound):
+        # At these bounds the EU center lies 10^4 to 10^5 semiaxes from
+        # the origin, and the (2, 3) hyperbola's terms cancel a
+        # hundredfold at t = 3; either rounding exceeds 1e-12 * M.
+        for region in (ellipse_region(eu_canon, 1, 3, bound),
+                       hyperbola_region(eu_canon, 2, 3, bound)):
+            for _, _, x in boundary_points(region, 360):
+                assert contains(eu_canon, x, bound)
+
     def test_box_corner_outside_ellipse(self, eu_canon):
         # inside every maximal interval, yet outside the joint region
         frame = with_center(eu_canon, EU_WORKED_CENTER)
