@@ -20,7 +20,9 @@ from .canonical import (
     StationaryKind,
     canonical_response,
     canonicalize,
+    check_pair,
     classify,
+    degenerate_axes,
     from_canonical,
     to_canonical,
     with_center,
@@ -86,6 +88,7 @@ from .regions import (
     ellipse_region,
     hyperbola_region,
     max_intervals,
+    region,
     region_kind,
 )
 from .report import AnalysisReport, run_analysis
@@ -108,9 +111,9 @@ __all__ = [
     # canonical
     "CanonicalModel", "StationaryKind", "MAXIMUM", "MINIMUM", "SADDLE",
     "canonicalize", "classify", "to_canonical", "from_canonical",
-    "canonical_response", "with_center",
+    "canonical_response", "with_center", "degenerate_axes", "check_pair",
     # regions
-    "RegionKind", "RegionParametrization", "region_kind", "ellipse_region",
+    "RegionKind", "RegionParametrization", "region", "region_kind", "ellipse_region",
     "hyperbola_region", "boundary_points", "contains", "max_intervals",
     # tradeoff
     "ConversionRate", "iso_slopes", "conversion_rates", "marginal_rates",

@@ -9,6 +9,11 @@ a pure weighted sum of squares:
 The eigenvalue signs classify the stationary point (maximum, minimum,
 saddle, or degenerate). Canonical axes are numbered from 1 to match
 the usual z_1 .. z_n labelling.
+
+One rule, ``degenerate_axes``, marks axis k degenerate when |lambda_k|
+<= ZERO_TOL_FACTOR * max|lambda|: the surface is a ridge there and the
+stationary point undefined. ``canonicalize`` rejects such a model and
+``check_pair`` refuses such a region or trade pair, by the same rule.
 """
 
 from __future__ import annotations
@@ -17,12 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
-from .linalg import DEFAULT_COND_TOL, jacobi_eigen, solve
+from .errors import DegeneratePair, DimensionMismatch, IndexOutOfRange, SingularMatrix
+from .linalg import jacobi_eigen, solve
 from .model import QuadraticModel
 
-# Eigenvalues within this factor of max|lambda| count as zero when
-# classifying the stationary point.
+# Eigenvalues within this factor of max|lambda| count as zero.
 ZERO_TOL_FACTOR = 1e-9
 
 
@@ -45,15 +49,22 @@ MINIMUM = StationaryKind("minimum")
 SADDLE = StationaryKind("saddle")
 
 
+def degenerate_axes(lambdas, zero_tol: float | None = None) -> tuple[int, ...]:
+    """1-based axes with |lambda| <= ``zero_tol``, by default
+    ZERO_TOL_FACTOR * max|lambda| (all axes of a zero spectrum)."""
+    mags = np.abs(np.asarray(lambdas, dtype=float))
+    if zero_tol is None:
+        zero_tol = ZERO_TOL_FACTOR * float(mags.max(initial=0.0))
+    return tuple(int(k) + 1 for k in np.flatnonzero(mags <= zero_tol))
+
+
 def classify(lambdas, zero_tol: float | None = None) -> StationaryKind:
     """Classify by signs: all negative -> maximum, all positive ->
-    minimum, any near-zero -> degenerate, mixed -> saddle."""
+    minimum, any degenerate axis -> degenerate, mixed -> saddle."""
     lam = np.asarray(lambdas, dtype=float)
-    if zero_tol is None:
-        zero_tol = ZERO_TOL_FACTOR * float(np.abs(lam).max(initial=0.0))
-    near_zero = np.abs(lam) <= zero_tol
-    if near_zero.any():
-        return StationaryKind("degenerate", tuple(int(k) + 1 for k in np.flatnonzero(near_zero)))
+    bad = degenerate_axes(lam, zero_tol)
+    if bad:
+        return StationaryKind("degenerate", bad)
     if (lam < 0).all():
         return MAXIMUM
     if (lam > 0).all():
@@ -101,25 +112,23 @@ class CanonicalModel:
         return tuple(name for v, name in zip(col, self.names) if abs(v) >= threshold)
 
 
-def canonicalize(model: QuadraticModel, cond_tol: float = DEFAULT_COND_TOL) -> CanonicalModel:
+def canonicalize(model: QuadraticModel) -> CanonicalModel:
     """Reduce a model to canonical form.
 
     center = -1/2 B^-1 beta, y0 = b0 - 1/4 beta' B^-1 beta; eigenpairs
     come straight from the interaction matrix. Raises SingularMatrix
-    (naming the offending axes) when the quadratic part is degenerate,
-    since the shift is then undefined.
+    naming the ``degenerate_axes`` of the quadratic part, since the
+    shift is then undefined.
     """
     eig = jacobi_eigen(model.interaction)
-    if eig.condition() < cond_tol:
-        mags = np.abs(eig.lambdas)
-        floor = cond_tol * float(mags.max())
-        bad = [k + 1 for k in range(model.n) if mags[k] <= floor]
+    bad = degenerate_axes(eig.lambdas)
+    if bad:
         raise SingularMatrix(
-            f"quadratic part is degenerate along canonical axes {bad}; "
+            f"quadratic part is degenerate along canonical axes {list(bad)}; "
             "the canonical shift is undefined. Drop the degenerate "
             "directions or supply a model with a nonsingular interaction matrix."
         )
-    w = solve(model.interaction, model.linear, cond_tol)  # w = B^-1 beta
+    w = solve(model.interaction, model.linear)  # w = B^-1 beta
     center = -0.5 * w
     y0 = model.intercept - 0.25 * float(model.linear @ w)
     center.setflags(write=False)
@@ -133,6 +142,24 @@ def canonicalize(model: QuadraticModel, cond_tol: float = DEFAULT_COND_TOL) -> C
     )
 
 
+def check_pair(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
+    """(lambda_i, lambda_j) for a region or trade pair.
+
+    Raises IndexOutOfRange unless i and j are distinct axes in 1..n,
+    and DegeneratePair if either is one of the ``degenerate_axes``.
+    """
+    if i == j:
+        raise IndexOutOfRange(f"canonical pair needs two distinct axes, got ({i}, {j})")
+    for k in (i, j):
+        if not 1 <= k <= canon.n:
+            raise IndexOutOfRange(f"canonical axis {k} outside 1..{canon.n}")
+    bad = [k for k in (i, j) if k in degenerate_axes(canon.lambdas)]
+    if bad:
+        raise DegeneratePair(f"canonical axes {bad} have |eigenvalue| <= "
+                             f"{ZERO_TOL_FACTOR:g} max|eigenvalue|")
+    return float(canon.lambdas[i - 1]), float(canon.lambdas[j - 1])
+
+
 def with_center(canon: CanonicalModel, center) -> CanonicalModel:
     """Same canonical frame re-centered at an externally supplied point.
 
@@ -140,10 +167,7 @@ def with_center(canon: CanonicalModel, center) -> CanonicalModel:
     center rather than the computed stationary point; this swaps the
     origin while keeping eigenvalues and axes.
     """
-    c = np.asarray(center, dtype=float)
-    if c.shape != (canon.n,):
-        raise DimensionMismatch(f"center has shape {c.shape}, expected ({canon.n},)")
-    c = c.copy()
+    c = _as_vector(canon, center, "center").copy()
     c.setflags(write=False)
     return replace(canon, center=c)
 

@@ -28,9 +28,8 @@ from .modelio import (
     load_model,
     save_model,
 )
-from .regions import ellipse_region, hyperbola_region, region_kind
+from .regions import region
 from .report import run_analysis
-from .tradeoff import conversion_rates, default_pairing, iso_slopes
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -96,26 +95,22 @@ def _cmd_regions(args) -> int:
     if args.center:
         canon = with_center(canon, _parse_vector(args.center))
     i, j = _parse_pair(args.pair)
-    if region_kind(canon, i, j).is_elliptical:
-        region = ellipse_region(canon, i, j, args.bound_M)
-    else:
-        region = hyperbola_region(canon, i, j, args.bound_M)
-    text = emit_plot_csv(region, args.samples, args.t_max)
+    text = emit_plot_csv(region(canon, i, j, args.bound_M), args.samples, args.t_max)
     _write_or_print(text, args.output)
     return 0
 
 
 def _cmd_tradeoff(args) -> int:
     model = load_model(args.model)
-    canon = canonicalize(model)
-    pairing = _parse_pairs(args.pairing) if args.pairing else default_pairing(canon)
+    pairing = _parse_pairs(args.pairing) if args.pairing else None
+    tradeoff = run_analysis(model, pairs=[], pairing=pairing).tradeoff
     lines = []
-    for i, j in pairing:
-        slope, _ = iso_slopes(canon, i, j)
-        lines.append(f"z{i} = +-{slope:.9g} z{j}")
-    for rate in conversion_rates(canon, pairing):
-        lines.append(f"{rate.from_variable} = {rate.ratio:.6g} {rate.to_variable}"
-                     f"   [branch {rate.branch}, M = {rate.bound:g}]")
+    for entry in tradeoff["iso_slopes"]:
+        i, j = entry["pair"]
+        lines.append(f"z{i} = +-{entry['slope']:.9g} z{j}")
+    for rate in tradeoff["conversion_rates"]:
+        lines.append(f"{rate['from']} = {rate['ratio']:.6g} {rate['to']}"
+                     f"   [branch {rate['branch']}, M = {rate['bound']:g}]")
     _write_or_print("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -217,10 +212,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except RsmError as exc:
-        stage = getattr(exc, "stage", None)
-        prefix = f"{type(exc).__name__}"
-        sys.stderr.write(f"rsmcanon: {prefix}: {exc}\n" if not stage
-                         else f"rsmcanon: {prefix} in {stage}: {exc}\n")
+        # a stage-tagged message already starts with "[stage] "
+        sys.stderr.write(f"rsmcanon: {type(exc).__name__}: {exc}\n")
         return exc.exit_code
     except OSError as exc:
         sys.stderr.write(f"rsmcanon: {exc}\n")

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, RankDeficient, TooFewRows
-from .linalg import SymMatrix, jacobi_eigen
+from .linalg import DEFAULT_COND_TOL, SymMatrix, jacobi_eigen
 from .model import ModelTerm, QuadraticModel, build_model
-
-FIT_COND_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +127,9 @@ def _normal_solve(design: np.ndarray, yt: np.ndarray, labels) -> tuple[np.ndarra
     safe = np.where(norms > 0.0, norms, 1.0)  # a zero column stays rank deficient
     scaled = design / safe
     eig = jacobi_eigen(SymMatrix(scaled.T @ scaled))
-    if eig.condition() < FIT_COND_TOL:
+    if eig.condition() < DEFAULT_COND_TOL:
         mags = np.abs(eig.lambdas)
-        floor = FIT_COND_TOL * float(mags.max())
+        floor = DEFAULT_COND_TOL * float(mags.max())
         blamed: list[str] = []
         for k in range(eig.source_n):
             if mags[k] > floor:
@@ -204,7 +202,5 @@ def ols_fit(d: Dataset, terms, exponent: float,
 
 
 def f_rank(d: Dataset, result: FitResult) -> tuple[TermStat, ...]:
-    """Terms ordered by descending partial F, ties broken by label."""
-    refit = ols_fit(d, [s.indices for s in result.term_stats],
-                    result.model.exponent, result.model.response_label)
-    return tuple(sorted(refit.term_stats, key=lambda s: (-s.f_value, s.label)))
+    """Terms of ``result`` by descending partial F, ties broken by label; ``d`` is not refit."""
+    return tuple(sorted(result.term_stats, key=lambda s: (-s.f_value, s.label)))

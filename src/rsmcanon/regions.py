@@ -14,6 +14,10 @@ an affine table with one row per variable:
 
 Here M is a deterministic band on the transformed response, not a
 probabilistic coverage set.
+
+``region`` builds a pair's region with ``ellipse_region`` or
+``hyperbola_region`` as ``region_kind`` dictates; a pair is usable when
+``canonical.check_pair`` accepts it.
 """
 
 from __future__ import annotations
@@ -24,14 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import ZERO_TOL_FACTOR, CanonicalModel, to_canonical
-from .errors import (
-    DegeneratePair,
-    IndexOutOfRange,
-    InputError,
-    NonPositiveBound,
-    WrongKind,
-)
+from .canonical import CanonicalModel, check_pair, to_canonical, with_center
+from .errors import InputError, NonPositiveBound, WrongKind
 
 # Slack applied to the membership test so exact boundary points
 # (|Y - Y0| = M up to roundoff) count as inside.
@@ -82,36 +80,18 @@ class RegionParametrization:
         return not self.kind.is_elliptical
 
 
-def _check_pair(canon: CanonicalModel, i: int, j: int) -> tuple[int, int]:
-    if i == j:
-        raise IndexOutOfRange(f"canonical pair needs two distinct axes, got ({i}, {j})")
-    for k in (i, j):
-        if not 1 <= k <= canon.n:
-            raise IndexOutOfRange(f"canonical axis {k} outside 1..{canon.n}")
-    return i, j
-
-
 def region_kind(canon: CanonicalModel, i: int, j: int) -> RegionKind:
     """Classify the (z_i, z_j) region by the eigenvalue sign product."""
-    i, j = _check_pair(canon, i, j)
-    lam = canon.lambdas
-    tol = ZERO_TOL_FACTOR * float(np.abs(lam).max())
-    bad = [k for k in (i, j) if abs(lam[k - 1]) <= tol]
-    if bad:
-        raise DegeneratePair(f"canonical axes {bad} have eigenvalues below tolerance {tol:g}")
-    li, lj = lam[i - 1], lam[j - 1]
+    li, lj = check_pair(canon, i, j)
     if li * lj > 0.0:
         return RegionKind.ELLIPTICAL_MAXIMUM if li < 0.0 else RegionKind.ELLIPTICAL_MINIMUM
     return RegionKind.HYPERBOLIC
 
 
-def _region_center(canon: CanonicalModel, center) -> np.ndarray:
-    if center is None:
-        return np.asarray(canon.center, dtype=float)
-    c = np.asarray(center, dtype=float)
-    if c.shape != (canon.n,):
-        raise IndexOutOfRange(f"center has shape {c.shape}, expected ({canon.n},)")
-    return c
+def region(canon: CanonicalModel, i: int, j: int, bound: float) -> RegionParametrization:
+    """The (z_i, z_j) region at bound M, built as ``region_kind`` dictates."""
+    build = ellipse_region if region_kind(canon, i, j).is_elliptical else hyperbola_region
+    return build(canon, i, j, bound)
 
 
 def ellipse_region(canon: CanonicalModel, i: int, j: int, bound: float,
@@ -120,26 +100,12 @@ def ellipse_region(canon: CanonicalModel, i: int, j: int, bound: float,
 
     Semiaxes are sqrt(M/|lambda|). ``center`` overrides the canonical
     center for the affine table (the shape itself is translation
-    invariant).
+    invariant), as ``with_center`` would.
     """
     kind = region_kind(canon, i, j)
     if not kind.is_elliptical:
         raise WrongKind(f"pair ({i}, {j}) has mixed eigenvalue signs; use hyperbola_region")
-    if not bound > 0.0:
-        raise NonPositiveBound(f"bound must be positive, got {bound!r}")
-    lam = canon.lambdas
-    a_i = float(np.sqrt(bound / abs(lam[i - 1])))
-    a_j = float(np.sqrt(bound / abs(lam[j - 1])))
-    affine = np.column_stack([
-        _region_center(canon, center),
-        a_i * canon.axes[:, i - 1],
-        a_j * canon.axes[:, j - 1],
-    ])
-    affine.setflags(write=False)
-    return RegionParametrization(
-        pair=(i, j), bound=float(bound), kind=kind,
-        semiaxes=(a_i, a_j), names=canon.names, affine=affine,
-    )
+    return _build(canon, (i, j), kind, bound, center)
 
 
 def hyperbola_region(canon: CanonicalModel, i: int, j: int, bound: float,
@@ -149,26 +115,34 @@ def hyperbola_region(canon: CanonicalModel, i: int, j: int, bound: float,
     The positive-eigenvalue axis carries cosh and the negative one
     sinh; the pair is reordered internally if needed. The band is
     unbounded, so it bounds the response fluctuation without enclosing
-    a finite region.
+    a finite region. ``center`` acts as in ``ellipse_region``.
     """
     kind = region_kind(canon, i, j)
     if kind.is_elliptical:
         raise WrongKind(f"pair ({i}, {j}) has same-sign eigenvalues; use ellipse_region")
+    pair = (i, j) if canon.lambdas[i - 1] > 0.0 else (j, i)
+    return _build(canon, pair, kind, bound, center)
+
+
+def _build(canon: CanonicalModel, pair: tuple[int, int], kind: RegionKind, bound: float,
+           center) -> RegionParametrization:
+    """Region for ``pair`` in basis order; semiaxes are sqrt(M/|lambda|)."""
     if not bound > 0.0:
         raise NonPositiveBound(f"bound must be positive, got {bound!r}")
-    lam = canon.lambdas
-    pos, neg = (i, j) if lam[i - 1] > 0.0 else (j, i)
-    a_pos = float(np.sqrt(bound / lam[pos - 1]))
-    a_neg = float(np.sqrt(bound / abs(lam[neg - 1])))
+    if center is not None:
+        canon = with_center(canon, center)
+    i, j = pair
+    a_i = float(np.sqrt(bound / abs(canon.lambdas[i - 1])))
+    a_j = float(np.sqrt(bound / abs(canon.lambdas[j - 1])))
     affine = np.column_stack([
-        _region_center(canon, center),
-        a_pos * canon.axes[:, pos - 1],
-        a_neg * canon.axes[:, neg - 1],
+        canon.center,
+        a_i * canon.axes[:, i - 1],
+        a_j * canon.axes[:, j - 1],
     ])
     affine.setflags(write=False)
     return RegionParametrization(
-        pair=(pos, neg), bound=float(bound), kind=kind,
-        semiaxes=(a_pos, a_neg), names=canon.names, affine=affine,
+        pair=pair, bound=float(bound), kind=kind,
+        semiaxes=(a_i, a_j), names=canon.names, affine=affine,
     )
 
 

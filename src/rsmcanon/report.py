@@ -19,13 +19,7 @@ from .canonical import ZERO_TOL_FACTOR, CanonicalModel, canonicalize, with_cente
 from .errors import RsmError
 from .linalg import DEFAULT_COND_TOL
 from .model import QuadraticModel
-from .regions import (
-    CONTAINS_SLACK,
-    ellipse_region,
-    hyperbola_region,
-    max_intervals,
-    region_kind,
-)
+from .regions import CONTAINS_SLACK, max_intervals, region
 from .tradeoff import conversion_rates, default_pairing, iso_slopes, marginal_rates
 
 
@@ -72,37 +66,32 @@ def _plain(value):
     return value
 
 
-def _region_section(canon: CanonicalModel, i: int, j: int, bound: float,
-                    center) -> dict:
-    kind = region_kind(canon, i, j)
-    if kind.is_elliptical:
-        region = ellipse_region(canon, i, j, bound, center)
-    else:
-        region = hyperbola_region(canon, i, j, bound, center)
-    basis1, basis2 = region.basis
+def _region_section(canon: CanonicalModel, i: int, j: int, bound: float) -> dict:
+    reg = region(canon, i, j, bound)
+    basis1, basis2 = reg.basis
     section = {
-        "pair": list(region.pair),
-        "kind": region.kind.value,
-        "bound": region.bound,
-        "unbounded": region.unbounded,
-        "semiaxes": _plain(region.semiaxes),
+        "pair": list(reg.pair),
+        "kind": reg.kind.value,
+        "bound": reg.bound,
+        "unbounded": reg.unbounded,
+        "semiaxes": _plain(reg.semiaxes),
         "basis": [basis1, basis2],
         "affine": [
             {"variable": name, "center": _plain(row[0]),
              basis1: _plain(row[1]), basis2: _plain(row[2])}
-            for name, row in zip(region.names, region.affine)
+            for name, row in zip(reg.names, reg.affine)
         ],
     }
-    if region.kind.is_elliptical:
+    if reg.kind.is_elliptical:
         section["max_intervals"] = [
             {"variable": name, "center": _plain(c), "half_width": _plain(h)}
-            for name, c, h in max_intervals(region)
+            for name, c, h in max_intervals(reg)
         ]
     else:
         section["marginal_rates"] = [
             {"from": r.from_variable, "to": r.to_variable, "ratio": _plain(r.ratio),
              "basis": r.branch, "bound": _plain(r.bound)}
-            for r in marginal_rates(region)
+            for r in marginal_rates(reg)
         ]
     return section
 
@@ -146,7 +135,7 @@ def run_analysis(model: QuadraticModel, pairs=None, bound: float = 1e-8,
     }
 
     region_sections = [
-        _staged("regions", _region_section, region_canon, i, j, bound, None)
+        _staged("regions", _region_section, region_canon, i, j, bound)
         for i, j in pairs
     ]
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import ZERO_TOL_FACTOR, CanonicalModel
+from .canonical import CanonicalModel, check_pair
 from .errors import (
-    DegeneratePair,
     NoPositiveBranch,
     NotTwoVariable,
     SameSignPair,
@@ -59,14 +58,9 @@ def iso_slopes(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
     """Hyperplane slopes z_i = +-sqrt(|lambda_j / lambda_i|) z_j.
 
     Requires opposite-sign eigenvalues (one must offset the other);
-    raises SameSignPair otherwise and DegeneratePair near zero.
+    raises SameSignPair otherwise. The pair must pass ``check_pair``.
     """
-    lam = canon.lambdas
-    tol = ZERO_TOL_FACTOR * float(np.abs(lam).max())
-    bad = [k for k in (i, j) if abs(lam[k - 1]) <= tol]
-    if bad:
-        raise DegeneratePair(f"canonical axes {bad} have eigenvalues below tolerance {tol:g}")
-    li, lj = lam[i - 1], lam[j - 1]
+    li, lj = check_pair(canon, i, j)
     if li * lj > 0.0:
         raise SameSignPair(
             f"axes ({i}, {j}) have same-sign eigenvalues; no cancellation possible"

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from rsmcanon import (
+    CanonicalModel,
+    DegeneratePair,
     DimensionMismatch,
+    IndexOutOfRange,
     ModelTerm,
     SingularMatrix,
     build_model,
     canonical_response,
     canonicalize,
+    check_pair,
     classify,
+    degenerate_axes,
     evaluate_matrix,
     from_canonical,
     gradient,
@@ -141,6 +146,29 @@ class TestClassify:
 
     def test_explicit_tolerance(self):
         assert classify([1.0, 1e-15], zero_tol=1e-16).label == "minimum"
+
+    def test_cutoff_is_relative_to_largest_magnitude(self):
+        assert degenerate_axes([-2.0, 2e-9, 4.1e-9]) == (2,)
+        assert degenerate_axes([0.0, 0.0]) == (1, 2)
+
+
+class TestCheckPair:
+    @pytest.mark.parametrize("i, j", [(0, 1), (5, 1), (1, 5), (2, 2)])
+    def test_bad_axes_rejected(self, eu_canon, i, j):
+        with pytest.raises(IndexOutOfRange):
+            check_pair(eu_canon, i, j)
+
+    def test_returns_eigenvalues_in_pair_order(self, eu_canon):
+        assert check_pair(eu_canon, 3, 1) == (eu_canon.lambdas[2], eu_canon.lambdas[0])
+
+    def test_degenerate_axis_at_the_cutoff(self):
+        def frame(small):
+            return CanonicalModel(names=("x", "y"), center=np.zeros(2), y0=0.0,
+                                  lambdas=np.array([1.0, small]), axes=np.eye(2),
+                                  kind=classify([1.0, small]))
+        assert check_pair(frame(2e-9), 1, 2) == (1.0, 2e-9)
+        with pytest.raises(DegeneratePair):
+            check_pair(frame(1e-9), 1, 2)
 
 
 class TestDirectionSigns:

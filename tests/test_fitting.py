@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rsmcanon.fitting as fitting
 from rsmcanon import (
     Dataset,
     DomainError,
@@ -122,6 +123,17 @@ class TestFRank:
         d = synthetic_dataset([1.0, 5.0, 0.0], terms, rows=120, noise=0.1)
         result = ols_fit(d, terms, exponent=1.0)
         assert result.ranking[-1] == "b"
+
+    def test_sorts_the_given_stats_without_refitting(self, monkeypatch):
+        terms = [(0,), (1,), (0, 2)]
+        d = synthetic_dataset([1.0, 2.0, -0.5, 0.8], terms, noise=0.01)
+        result = ols_fit(d, terms, exponent=1.0)
+
+        def no_eigen(*args, **kwargs):
+            raise AssertionError("f_rank refit the model")
+
+        monkeypatch.setattr(fitting, "jacobi_eigen", no_eigen)
+        assert tuple(s.label for s in f_rank(d, result)) == result.ranking
 
     def test_ranking_is_permutation(self):
         terms = [(0,), (1,), (0, 2)]

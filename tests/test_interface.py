@@ -20,6 +20,25 @@ EMISSIONS_HEADER = "year,country,liquid,gas,gas_flares,bunker,co2_ppmv"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def assert_tree_close(got, want, path="$", floor=0.0):
+    """Structure, strings and ints exactly; floats at rel 1e-12, with an
+    absolute floor of 1e-12 times the largest float in the same list."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_tree_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        scale = max((abs(w) for w in want if isinstance(w, float)), default=0.0)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_tree_close(g, w, f"{path}[{k}]", scale)
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * (abs(want) + floor), f"{path}: {got!r} vs {want!r}"
+    else:
+        assert got == want, path
+
+
 class TestModelFiles:
     def test_bundled_eu_values(self, eu_model):
         assert eu_model.names == ("Li", "Ga", "Fl", "Bu")
@@ -296,6 +315,24 @@ class TestCli:
         assert main(["tradeoff", model_path]) == 0
         out = capsys.readouterr().out
         assert "Ga = 1.74388 Bu" in out
+
+    # The golden files were written from the bundled model before the CLI
+    # tradeoff command moved onto run_analysis.
+    def test_analyze_json_matches_golden(self, capsys):
+        assert main(["analyze", str(rc.bundled_eu_model_path()), "--format", "json"]) == 0
+        want = json.loads((GOLDEN / "eu_analyze.json").read_text())
+        assert_tree_close(json.loads(capsys.readouterr().out), want)
+
+    def test_tradeoff_matches_golden(self, capsys):
+        assert main(["tradeoff", str(rc.bundled_eu_model_path())]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "eu_tradeoff.txt").read_text()
+
+    @pytest.mark.parametrize("pairing", ["0,1", "5,1"])
+    def test_tradeoff_axis_out_of_range_is_input_error(self, model_path, capsys, pairing):
+        assert main(["tradeoff", model_path, "--pairing", pairing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rsmcanon: IndexOutOfRange: [tradeoff] canonical axis ")
+        assert err.count("tradeoff") == 1  # the stage is named once
 
     def test_predict(self, model_path, capsys):
         assert main(["predict", model_path, "--at", "0,0,0,0"]) == 0

@@ -5,6 +5,8 @@ and from small closed-form oracles: trace, cofactor determinants, and
 multiply-back residuals.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,17 @@ class TestJacobiEigen:
     def test_non_convergence_signalled(self):
         with pytest.raises(NonConvergence):
             jacobi_eigen([[1.0, 2.0], [2.0, -1.0]], max_sweeps=0)
+
+    def test_tiny_entry_against_wide_gap_does_not_overflow(self):
+        # |tau| = |a_qq - a_pp| / (2 |a_pq|) is about 5e287 for the
+        # (1, 2) rotation, so tau * tau would overflow
+        a = np.array([[1e-12, 1e-300, 0.0], [1e-300, -1e-14, 1e-13], [0.0, 1e-13, 1e-16]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = jacobi_eigen(a)
+        ref = np.linalg.eigvalsh(a)
+        np.testing.assert_allclose(np.sort(eig.lambdas), ref, rtol=0.0,
+                                   atol=1e-14 * np.abs(ref).max())
 
     def test_zero_matrix(self):
         eig = jacobi_eigen(np.zeros((3, 3)))

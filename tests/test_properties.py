@@ -1,4 +1,5 @@
-"""Property tests for the boundary sampler on random graded models.
+"""Property tests for the boundary sampler and the stage contracts on
+random graded models.
 
 The strategies build B = Q diag(lambda) Q' from a random orthogonal Q,
 with mixed eigenvalue signs and |lambda| graded over four decades at
@@ -6,11 +7,15 @@ the EU model's scale (about 1e-16). The stationary point sits up to
 1e4 semiaxes from the origin; the EU center is about 87 semiaxes out
 at M = 1e-8, and 8,700 at M = 1e-12. Every row of ``boundary_points``
 and ``emit_plot_csv`` is checked against the conic it should lie on.
+A wider grading, down to 1e-13 max|lambda| across the 1e-9 degeneracy
+cutoff, checks that a model ``canonicalize`` accepts passes the later
+stages too.
 """
 
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -22,12 +27,12 @@ unit = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def graded_canon(draw):
-    """(canonical model, bound M) for a random graded mixed-sign B."""
+def graded_model(draw, span=4.0):
+    """(model, bound M) for a random mixed-sign B graded over ``span`` decades."""
     n = draw(st.integers(3, 6))
     q, _ = np.linalg.qr(draw(arrays(float, (n, n), elements=unit)))
-    decades = np.array([0.0, 4.0] + draw(st.lists(st.floats(0.0, 4.0), min_size=n - 2,
-                                                  max_size=n - 2)))
+    decades = np.array([0.0, span] + draw(st.lists(st.floats(0.0, span), min_size=n - 2,
+                                                   max_size=n - 2)))
     signs = np.array([1.0, -1.0] + draw(st.lists(st.sampled_from([1.0, -1.0]),
                                                  min_size=n - 2, max_size=n - 2)))
     lam = signs * LAMBDA_SCALE * 10.0 ** decades
@@ -37,6 +42,13 @@ def graded_canon(draw):
     center = reach * draw(arrays(float, (n,), elements=unit))
     model = rc.QuadraticModel(tuple(f"x{k}" for k in range(1, n + 1)), 1.0,
                               -2.0 * b @ center, rc.SymMatrix(b), 1.0)
+    return model, bound
+
+
+@st.composite
+def graded_canon(draw):
+    """(canonical model, bound M) for a random graded mixed-sign B."""
+    model, bound = draw(graded_model())
     return rc.canonicalize(model), bound
 
 
@@ -96,3 +108,37 @@ def test_semiaxes_scale_as_root_bound(case, factor):
     scaled = build(canon, *region.pair, region.bound * factor ** 2)
     np.testing.assert_allclose(scaled.semiaxes, np.multiply(region.semiaxes, factor),
                                rtol=1e-12)
+
+
+@st.composite
+def spread_model(draw):
+    """A graded model whose smallest |lambda| lies 4 to 13 decades below
+    the largest, with an added linear term unrelated to B."""
+    model, _ = draw(graded_model(draw(st.floats(4.0, 13.0))))
+    extra = draw(arrays(float, (model.n,), elements=unit))
+    linear = model.linear + LAMBDA_SCALE * 1e8 * extra
+    return rc.QuadraticModel(model.names, 1.0, linear, model.interaction, 1.0)
+
+
+@given(spread_model())
+def test_what_canonicalize_accepts_later_stages_accept(model):
+    try:
+        canon = rc.canonicalize(model)
+    except rc.SingularMatrix:
+        assert rc.degenerate_axes(rc.jacobi_eigen(model.interaction).lambdas)
+        return
+    rc.run_analysis(model, pairing=[])  # default region pairs; no NumericalError
+    lam = canon.lambdas
+    for i in range(1, canon.n + 1):
+        for j in range(i + 1, canon.n + 1):
+            if lam[i - 1] * lam[j - 1] < 0.0:
+                rc.iso_slopes(canon, i, j)
+
+
+def test_ridge_model_rejected_at_canonical_stage():
+    # |lambda_2| = 5e-11 max|lambda|: above a 1e-12 condition floor but
+    # degenerate by the 1e-9 rule, so no later stage sees it
+    model = rc.QuadraticModel(("x", "y"), 0.0, np.array([0.0, 1.0]),
+                              rc.SymMatrix(np.diag([-2.0, -1e-10])), 1.0)
+    with pytest.raises(rc.SingularMatrix, match=r"^\[canonical\] .*axes \[2\]"):
+        rc.run_analysis(model)

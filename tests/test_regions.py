@@ -6,6 +6,7 @@ import pytest
 from rsmcanon import (
     CanonicalModel,
     DegeneratePair,
+    DimensionMismatch,
     InputError,
     NonPositiveBound,
     RegionKind,
@@ -16,6 +17,7 @@ from rsmcanon import (
     from_canonical,
     hyperbola_region,
     max_intervals,
+    region,
     region_kind,
     with_center,
 )
@@ -57,6 +59,22 @@ class TestRegionKind:
             lambdas=np.array([1.0, 1e-30]), axes=np.eye(2), kind=MAXIMUM)
         with pytest.raises(DegeneratePair):
             region_kind(frame, 1, 2)
+
+
+class TestRegion:
+    @pytest.mark.parametrize("pair, build", [
+        ((1, 3), ellipse_region), ((2, 4), ellipse_region),
+        ((2, 3), hyperbola_region), ((3, 2), hyperbola_region),
+    ])
+    def test_builds_by_kind(self, eu_canon, pair, build):
+        got, want = region(eu_canon, *pair, M_IPCC), build(eu_canon, *pair, M_IPCC)
+        assert (got.kind, got.pair, got.semiaxes) == (want.kind, want.pair, want.semiaxes)
+        np.testing.assert_array_equal(got.affine, want.affine)
+
+    def test_bad_center_shape_is_dimension_mismatch(self, eu_canon):
+        for build, pair in ((ellipse_region, (1, 3)), (hyperbola_region, (2, 3))):
+            with pytest.raises(DimensionMismatch):
+                build(eu_canon, *pair, M_IPCC, center=[1.0, 2.0])
 
 
 class TestEllipseRegion:

@@ -6,6 +6,7 @@ import pytest
 from rsmcanon import (
     CanonicalModel,
     DegeneratePair,
+    IndexOutOfRange,
     NotTwoVariable,
     RegionKind,
     RegionParametrization,
@@ -76,6 +77,12 @@ class TestIsoSlopes:
         frame = saddle_frame([1.0, -1e-30], np.eye(2), ("x", "y"))
         with pytest.raises(DegeneratePair):
             iso_slopes(frame, 1, 2)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (5, 1)])
+    def test_axis_out_of_range_rejected(self, eu_canon, i, j):
+        # axis 0 used to wrap around to lambda_4
+        with pytest.raises(IndexOutOfRange):
+            iso_slopes(eu_canon, i, j)
 
     def test_scale_invariance(self, eu_canon):
         scaled = CanonicalModel(
