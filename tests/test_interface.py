@@ -111,6 +111,26 @@ def write_emissions(path, rows, header=EMISSIONS_HEADER):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
+def noisy_emissions_rows(seed=11, years=range(1960, 1990)):
+    """Two countries with EU-scale totals (graded over about six decades
+    once squared) and a co2_ppmv with 0.5 ppmv of seeded noise."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([2e5, 2e4, 5e3, 5e4])
+    hi = np.array([6e5, 3e5, 1.2e4, 9e4])
+    rows = []
+    for year in years:
+        total = lo + (hi - lo) * rng.random(4)
+        u = (total - lo) / (hi - lo)
+        co2 = float(320.0 + 40.0 * u[0] + 15.0 * u[1] * u[3] - 8.0 * u[2]
+                    + 0.5 * rng.standard_normal())
+        split = rng.uniform(0.3, 0.7)
+        for name, frac in (("A", split), ("B", 1.0 - split)):
+            cells = [str(year), name] + [repr(float(v)) for v in total * frac]
+            cells.append(repr(co2) if name == "A" else "")
+            rows.append(",".join(cells))
+    return rows
+
+
 class TestEmissions:
     def test_totals_sum_over_countries(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -364,6 +384,23 @@ class TestCli:
         assert fitted.intercept == pytest.approx(coef["int"], rel=1e-6)
         assert fitted.linear[0] == pytest.approx(coef["Li"], rel=1e-6)
         assert fitted.interaction.array[0, 1] == pytest.approx(coef["Li:Ga"], rel=1e-6)
+
+    def test_fit_stdout_matches_golden(self, tmp_path, capsys, monkeypatch):
+        # golden written before ols_fit took its partial F from the inverse
+        # diagonal instead of refitting each term out; F is printed to four
+        # digits, so it is compared by value
+        write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "emissions.csv", "--terms", "Li,Ga,Fl,Li:Li,Ga:Bu,Bu:Bu,Li:Fl",
+                     "--exponent", "-2.376", "--exclude-years", "1964",
+                     "-o", "fit.json"]) == 0
+        got = capsys.readouterr().out.splitlines()
+        want = (GOLDEN / "fit_noisy.txt").read_text().splitlines()
+        assert len(got) == len(want)
+        assert got[:2] == want[:2] and got[-1] == want[-1]  # SSE, header, path
+        for g, w in zip(got[2:-1], want[2:-1]):
+            assert g.split()[:3] == w.split()[:3]  # rank, label, coefficient
+            assert float(g.split()[3]) == pytest.approx(float(w.split()[3]), rel=1e-8)
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
