@@ -3,8 +3,11 @@
 Takes a dataset of attributable-variable rows with a natural-units
 response, applies the power transform, and solves the normal equations
 with the package's own symmetric solver. Term relevance is ranked by
-the partial F statistic: each term is refit out of the model and the
-SSE increase is compared to the full-model residual variance.
+the partial F statistic: the SSE increase from dropping term k is
+b_k^2 / [(X'X)^-1]_kk (the extra-sum-of-squares identity; Draper &
+Smith, Applied Regression Analysis), compared to the full-model
+residual variance. The full fit's one eigendecomposition gives every
+F; no term is refit out of the model.
 
 No silent regularization: a rank-deficient design raises instead of
 falling back to ridge, so rankings stay deterministic and comparable.
@@ -106,22 +109,21 @@ def _normalize_terms(terms, n: int) -> list[tuple[int, ...]]:
 
 
 def _design_matrix(d: Dataset, term_indices) -> np.ndarray:
-    cols = [np.ones(d.rows)]
-    for idx in term_indices:
-        if len(idx) == 1:
-            cols.append(d.X[:, idx[0]])
-        else:
-            cols.append(d.X[:, idx[0]] * d.X[:, idx[1]])
-    return np.column_stack(cols)
+    return np.column_stack([np.ones(d.rows)]
+                           + [d.X[:, list(idx)].prod(axis=1) for idx in term_indices])
 
 
-def _normal_solve(design: np.ndarray, yt: np.ndarray, labels) -> tuple[np.ndarray, float]:
+def _normal_solve(design: np.ndarray, yt: np.ndarray,
+                  labels) -> tuple[np.ndarray, float, np.ndarray]:
     """Least squares via the normal equations, with an eigen rank check.
 
     Columns are equilibrated to unit norm before forming the normal
     matrix so the condition check measures collinearity rather than
     units (emissions columns span many orders of magnitude). The
     scaling is undone exactly on the way out; it is not regularization.
+    Returns the coefficients, the SSE, and per column the SSE increase
+    from dropping it, b_k^2 / [S^-1]_kk on the equilibrated scale; the
+    diagonal of S^-1 comes from the same eigenpairs as the solve.
     """
     norms = np.sqrt((design * design).sum(axis=0))
     safe = np.where(norms > 0.0, norms, 1.0)  # a zero column stays rank deficient
@@ -139,10 +141,11 @@ def _normal_solve(design: np.ndarray, yt: np.ndarray, labels) -> tuple[np.ndarra
                 if labels[c] not in blamed:
                     blamed.append(labels[c])
         raise RankDeficient(f"design matrix is rank deficient; collinear columns: {blamed}")
-    coef = eig.vectors @ ((eig.vectors.T @ (scaled.T @ yt)) / eig.lambdas)
-    coef = coef / safe
+    scaled_coef = eig.vectors @ ((eig.vectors.T @ (scaled.T @ yt)) / eig.lambdas)
+    inv_diag = (eig.vectors * eig.vectors) @ (1.0 / eig.lambdas)
+    coef = scaled_coef / safe
     resid = yt - design @ coef
-    return coef, float(resid @ resid)
+    return coef, float(resid @ resid), scaled_coef * scaled_coef / inv_diag
 
 
 def ols_fit(d: Dataset, terms, exponent: float,
@@ -153,6 +156,11 @@ def ols_fit(d: Dataset, terms, exponent: float,
     (i, j) for a quadratic or interaction term. The response is
     transformed by ``exponent`` before fitting, and the result is
     packaged as a QuadraticModel with partial-F statistics per term.
+
+    Term k's F is b_k^2 / [(X'X)^-1]_kk, the SSE increase from dropping
+    it, over the residual variance SSE / (rows - p - 1); the identity
+    is exact for a full-rank design, so no reduced model is refit. An
+    exact fit (zero residual) gives F = inf for every nonzero term.
     """
     term_indices = _normalize_terms(terms, d.n)
     if len(set(term_indices)) != len(term_indices):
@@ -165,27 +173,19 @@ def ols_fit(d: Dataset, terms, exponent: float,
     yt = transform_response(d.y, exponent)
     labels = ["1"] + [term_label(idx, d.names) for idx in term_indices]
     design = _design_matrix(d, term_indices)
-    coef, sse_full = _normal_solve(design, yt, labels)
+    coef, sse_full, increase = _normal_solve(design, yt, labels)
 
     dof = d.rows - len(term_indices) - 1
     scale = sse_full / dof
-    stats = []
-    for drop in range(len(term_indices)):
-        reduced = [idx for k, idx in enumerate(term_indices) if k != drop]
-        sub_labels = ["1"] + [term_label(idx, d.names) for idx in reduced]
-        _, sse_without = _normal_solve(_design_matrix(d, reduced), yt, sub_labels)
-        increase = max(0.0, sse_without - sse_full)
-        if scale > 0.0:
-            f_value = increase / scale
-        else:
-            f_value = float("inf") if increase > 0.0 else 0.0
-        idx = term_indices[drop]
-        stats.append(TermStat(
-            label=term_label(idx, d.names),
-            indices=idx,
-            coefficient=float(coef[drop + 1]),
-            f_value=f_value,
-        ))
+    if scale > 0.0:
+        f_values = increase[1:] / scale
+    else:
+        f_values = np.where(increase[1:] > 0.0, np.inf, 0.0)
+    stats = [
+        TermStat(label=labels[k + 1], indices=idx, coefficient=float(coef[k + 1]),
+                 f_value=float(f_values[k]))
+        for k, idx in enumerate(term_indices)
+    ]
 
     ranked = sorted(stats, key=lambda s: (-s.f_value, s.label))
     model_terms = [

@@ -120,9 +120,12 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
                 apq = a[p, q]
                 if apq == 0.0:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                # hypot: tau * tau overflows when a_pq is tiny against its diagonal gap
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                h = a[q, q] - a[p, p]
+                if abs(h) + 100.0 * abs(apq) == abs(h):
+                    t = apq / h  # a_pq negligible against the gap; h / (2 a_pq) may overflow
+                else:
+                    tau = h / (2.0 * apq)
+                    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
 

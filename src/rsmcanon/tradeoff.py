@@ -71,13 +71,15 @@ def iso_slopes(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
 
 def default_pairing(canon: CanonicalModel) -> list[tuple[int, int]]:
     """Opposite-sign canonical pairs whose eigenvectors touch exactly
-    two original variables, in index order."""
+    two original variables and give at least one positive branch, in
+    index order."""
     out = []
     for i in range(1, canon.n + 1):
         for j in range(i + 1, canon.n + 1):
             if canon.lambdas[i - 1] * canon.lambdas[j - 1] >= 0.0:
                 continue
-            if len(_active_variables(canon, i, j)) == 2:
+            active = _active_variables(canon, i, j)
+            if len(active) == 2 and _positive_branches(canon, i, j, active):
                 out.append((i, j))
     return out
 
@@ -88,6 +90,29 @@ def _active_variables(canon: CanonicalModel, i: int, j: int) -> list[int]:
     return [int(k) for k in np.flatnonzero(mask)]
 
 
+def _positive_branches(canon: CanonicalModel, i: int, j: int,
+                       active: list[int]) -> list[ConversionRate]:
+    """M = 0 rates of an opposite-sign pair on its two active variables,
+    one per hyperplane sign with a positive, finite ratio, by ratio."""
+    slope, _ = iso_slopes(canon, i, j)
+    a, b = active
+    vi, vj = canon.axes[:, i - 1], canon.axes[:, j - 1]
+    found = []
+    for sign, tag in ((1.0, "+"), (-1.0, "-")):
+        w = vi - sign * slope * vj
+        # a branch whose null line collapses onto a coordinate axis
+        # (either component of w vanishing) is not a usable trade
+        scale = float(np.hypot(w[a], w[b]))
+        if min(abs(w[a]), abs(w[b])) <= ACTIVE_COMPONENT_TOL * scale:
+            continue
+        ratio = -w[b] / w[a]
+        if np.isfinite(ratio) and ratio > 0.0:
+            found.append(ConversionRate(from_variable=canon.names[a], to_variable=canon.names[b],
+                                        ratio=float(ratio), branch=tag, bound=0.0))
+    found.sort(key=lambda r: r.ratio)
+    return found
+
+
 def conversion_rates(canon: CanonicalModel, pairing=None) -> list[ConversionRate]:
     """Exact (M = 0) exchange ratios for each canonical pair.
 
@@ -95,13 +120,14 @@ def conversion_rates(canon: CanonicalModel, pairing=None) -> list[ConversionRate
     are solved for their proportionality coefficient; only branches
     with a positive, finite coefficient are acceptable trades. Raises
     NotTwoVariable when a pair involves more than two variables and
-    NoPositiveBranch when neither sign works.
+    NoPositiveBranch when neither sign works; the default pairing
+    holds only pairs that pass both.
     """
     if pairing is None:
         pairing = default_pairing(canon)
     rates: list[ConversionRate] = []
     for i, j in pairing:
-        slope, _ = iso_slopes(canon, i, j)
+        iso_slopes(canon, i, j)  # range, degeneracy and sign checks come first
         active = _active_variables(canon, i, j)
         if len(active) != 2:
             involved = ", ".join(
@@ -112,30 +138,11 @@ def conversion_rates(canon: CanonicalModel, pairing=None) -> list[ConversionRate
             raise NotTwoVariable(
                 f"pair ({i}, {j}) involves {len(active)} variables, expected 2: {involved}"
             )
-        a, b = active
-        vi, vj = canon.axes[:, i - 1], canon.axes[:, j - 1]
-        found = []
-        for sign, tag in ((1.0, "+"), (-1.0, "-")):
-            w = vi - sign * slope * vj
-            # a branch whose null line collapses onto a coordinate axis
-            # (either component of w vanishing) is not a usable trade
-            scale = float(np.hypot(w[a], w[b]))
-            if min(abs(w[a]), abs(w[b])) <= ACTIVE_COMPONENT_TOL * scale:
-                continue
-            ratio = -w[b] / w[a]
-            if np.isfinite(ratio) and ratio > 0.0:
-                found.append(ConversionRate(
-                    from_variable=canon.names[a],
-                    to_variable=canon.names[b],
-                    ratio=float(ratio),
-                    branch=tag,
-                    bound=0.0,
-                ))
+        found = _positive_branches(canon, i, j, active)
         if not found:
             raise NoPositiveBranch(
                 f"pair ({i}, {j}): neither hyperplane sign gives a positive ratio"
             )
-        found.sort(key=lambda r: r.ratio)
         rates.extend(found)
     return rates
 

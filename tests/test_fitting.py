@@ -118,6 +118,17 @@ class TestFRank:
         assert stats["a"] == stats["b"]
         assert result.ranking == ("a", "b")
 
+    def test_exact_fit_gives_infinite_f(self):
+        # +-1 columns of norm 4 equilibrate exactly, so the residual is
+        # exactly zero: a present term gets F = inf, an absent one F = 0
+        x0 = np.tile([-1.0, -1.0, 1.0, 1.0], 4)
+        x1 = np.tile([-1.0, 1.0, -1.0, 1.0], 4)
+        d = Dataset(X=np.column_stack([x0, x1]), y=3.0 + 2.0 * x0, names=("a", "b"))
+        result = ols_fit(d, [(0,), (1,)], exponent=1.0)
+        assert result.sse == 0.0
+        assert {s.label: s.f_value for s in result.term_stats} == {"a": np.inf, "b": 0.0}
+        assert result.ranking == ("a", "b")
+
     def test_null_term_ranked_last(self):
         terms = [(0,), (1,)]
         d = synthetic_dataset([1.0, 5.0, 0.0], terms, rows=120, noise=0.1)

@@ -154,6 +154,19 @@ class TestJacobiEigen:
         np.testing.assert_allclose(np.sort(eig.lambdas), ref, rtol=0.0,
                                    atol=1e-14 * np.abs(ref).max())
 
+    def test_subnormal_entry_does_not_overflow(self):
+        # a_pq = 1.1e-321 is subnormal, so even tau = (a_qq - a_pp) / (2 a_pq)
+        # overflows; the rotation must take t = a_pq / (a_qq - a_pp) instead
+        e = 1.1116e-321
+        a = np.array([[1e-16, e, e], [e, -4.9995e-13, -5.0005e-13],
+                      [e, -5.0005e-13, -4.9995e-13]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = jacobi_eigen(a)
+        ref = np.linalg.eigvalsh(a)
+        np.testing.assert_allclose(np.sort(eig.lambdas), ref, rtol=0.0,
+                                   atol=1e-14 * np.abs(ref).max())
+
     def test_zero_matrix(self):
         eig = jacobi_eigen(np.zeros((3, 3)))
         np.testing.assert_array_equal(eig.lambdas, np.zeros(3))

@@ -1,5 +1,6 @@
 """Property tests for the boundary sampler and the stage contracts on
-random graded models.
+random graded models, and for the least-squares fit on random graded
+designs.
 
 The strategies build B = Q diag(lambda) Q' from a random orthogonal Q,
 with mixed eigenvalue signs and |lambda| graded over four decades at
@@ -9,7 +10,8 @@ at M = 1e-8, and 8,700 at M = 1e-12. Every row of ``boundary_points``
 and ``emit_plot_csv`` is checked against the conic it should lie on.
 A wider grading, down to 1e-13 max|lambda| across the 1e-9 degeneracy
 cutoff, checks that a model ``canonicalize`` accepts passes the later
-stages too.
+stages too. Fits are checked against numpy lstsq: the coefficients, and
+every partial F against an explicit drop-one refit.
 """
 
 import io
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rsmcanon as rc
+import rsmcanon.fitting as fitting
 
 LAMBDA_SCALE = 1e-16
 unit = st.floats(-1.0, 1.0)
@@ -127,7 +130,7 @@ def test_what_canonicalize_accepts_later_stages_accept(model):
     except rc.SingularMatrix:
         assert rc.degenerate_axes(rc.jacobi_eigen(model.interaction).lambdas)
         return
-    rc.run_analysis(model, pairing=[])  # default region pairs; no NumericalError
+    rc.run_analysis(model)  # default region and trade pairs; no NumericalError
     lam = canon.lambdas
     for i in range(1, canon.n + 1):
         for j in range(i + 1, canon.n + 1):
@@ -142,3 +145,68 @@ def test_ridge_model_rejected_at_canonical_stage():
                               rc.SymMatrix(np.diag([-2.0, -1e-10])), 1.0)
     with pytest.raises(rc.SingularMatrix, match=r"^\[canonical\] .*axes \[2\]"):
         rc.run_analysis(model)
+
+
+@st.composite
+def graded_fit(draw):
+    """(dataset, terms) for a random full-rank design with noise.
+
+    Each variable lies in [0.2, 1] times a scale of 10^0 to 10^3, so the
+    linear and second-order columns span about six decades, as the
+    emissions totals and their products do. Each term moves the response
+    by up to one unit; noise of 1e-6 to 1e-1 of the response's spread
+    keeps every residual finite. Values come from a drawn numpy seed.
+    """
+    n = draw(st.integers(2, 4))
+    rows = draw(st.integers(12, 40))
+    pool = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i, n)]
+    terms = draw(st.lists(st.sampled_from(pool), min_size=1,
+                          max_size=min(len(pool), rows - 4), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    x = scales * rng.uniform(0.2, 1.0, size=(rows, n))
+    cols = np.column_stack([x[:, list(t)].prod(axis=1) for t in terms])
+    y = 1.0 + cols @ (rng.uniform(-1.0, 1.0, len(terms)) / cols.std(axis=0))
+    y += 10.0 ** draw(st.floats(-6.0, -1.0)) * y.std() * rng.standard_normal(rows)
+    return rc.Dataset(X=x, y=y, names=tuple(f"x{k}" for k in range(1, n + 1))), terms
+
+
+def lstsq_sse(d, terms):
+    """(coefficients, column norms, SSE) by lstsq on the equilibrated design."""
+    design = np.column_stack([np.ones(d.rows)] + [d.X[:, list(t)].prod(axis=1) for t in terms])
+    norms = np.linalg.norm(design, axis=0)
+    coef = np.linalg.lstsq(design / norms, d.y, rcond=None)[0] / norms
+    resid = d.y - design @ coef
+    return coef, norms, float(resid @ resid)
+
+
+@given(graded_fit())
+def test_fit_matches_lstsq_and_drop_one_refits(case):
+    d, terms = case
+    result = rc.ols_fit(d, terms, 1.0)
+    ref, norms, sse = lstsq_sse(d, terms)
+    coef = np.array([result.model.intercept] + [s.coefficient for s in result.term_stats])
+    assert (np.abs(coef - ref) * norms).max() <= 1e-8 * np.linalg.norm(d.y)
+    scale = sse / (d.rows - len(terms) - 1)
+    f_ref = {}
+    for k, stat in enumerate(result.term_stats):
+        f_ref[stat.label] = max(0.0, lstsq_sse(d, terms[:k] + terms[k + 1:])[2] - sse) / scale
+        assert abs(stat.f_value - f_ref[stat.label]) <= 1e-6 * max(f_ref[stat.label], 1.0)
+    for hi, lo in zip(result.ranking, result.ranking[1:]):
+        assert f_ref[hi] >= f_ref[lo] - 1e-6 * max(f_ref[lo], 1.0)
+    assert tuple(s.label for s in rc.f_rank(d, result)) == result.ranking
+
+
+@given(graded_fit())
+def test_one_eigendecomposition_per_fit(case):
+    d, terms = case
+    calls = []
+
+    def counting(matrix, **kwargs):
+        calls.append(1)
+        return rc.jacobi_eigen(matrix, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "jacobi_eigen", counting)
+        rc.ols_fit(d, terms, 1.0)
+    assert len(calls) == 1

@@ -7,18 +7,23 @@ from rsmcanon import (
     CanonicalModel,
     DegeneratePair,
     IndexOutOfRange,
+    NoPositiveBranch,
     NotTwoVariable,
     RegionKind,
+    QuadraticModel,
     RegionParametrization,
     SameSignPair,
+    SymMatrix,
     WrongKind,
     ZeroCoefficient,
     conversion_rates,
+    canonicalize,
     default_pairing,
     hyperbola_region,
     ellipse_region,
     iso_slopes,
     marginal_rates,
+    run_analysis,
 )
 from rsmcanon.canonical import SADDLE
 
@@ -135,6 +140,18 @@ class TestConversionRates:
                 q1 = float(lam @ (((t + delta) * z_dir) ** 2))
                 scale = energy * max(t * t, (t + delta) ** 2, 1.0)
                 assert abs(q1 - q0) <= 1e-9 * scale
+
+    def test_saddle_without_positive_branch(self):
+        # both axes mix x and y at 45 degrees; z1 = +-0.5 z2 gives x/y
+        # ratios of -1/3 and -3, so the pair offers no trade
+        rot = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        model = QuadraticModel(("x", "y"), 1.0, np.array([0.3, 0.1]),
+                               SymMatrix((rot * [1.0, -0.25]) @ rot.T), 1.0)
+        canon = canonicalize(model)
+        assert default_pairing(canon) == []
+        assert run_analysis(model).tradeoff["conversion_rates"] == []
+        with pytest.raises(NoPositiveBranch):
+            conversion_rates(canon, [(1, 2)])
 
     def test_invariant_under_axis_sign_flips(self, eu_canon):
         flipped = CanonicalModel(
