@@ -12,7 +12,8 @@ totals across countries and applies a year exclusion list. No unit
 conversion is performed.
 
 All file writes go through a write-temp-then-rename path so partial
-output never lands under the target name.
+output never lands under the target name; a file that already holds
+the output is left in place and only touched.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import hashlib
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
@@ -39,13 +41,29 @@ EMISSIONS_NAMES = ("Li", "Ga", "Fl", "Bu")
 
 def atomic_write(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename,
-    with the mode a plain ``open`` would give (0o666 less the umask)."""
+    with the mode a plain ``open`` would give (0o666 less the umask).
+
+    A regular file that already has that mode and holds ``text`` is only
+    touched (its times set to now). Renaming over an existing file makes
+    ext4 (``auto_da_alloc``) flush the new data first, which takes tens
+    of milliseconds and would write the same bytes again."""
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = 0o666 & ~umask
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and stat.S_IMODE(st.st_mode) == mode:
+            with open(path, newline="") as handle:
+                same = handle.read() == text
+            if same:
+                os.utime(path)
+                return
+    except (OSError, ValueError):  # missing, unreadable or not text: write it
+        pass
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)

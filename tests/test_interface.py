@@ -9,7 +9,7 @@ import pytest
 
 import rsmcanon as rc
 from rsmcanon.cli import main
-from rsmcanon.modelio import EMISSIONS_NAMES
+from rsmcanon.modelio import EMISSIONS_NAMES, atomic_write
 
 from eu_reference import EU_WORKED_CENTER
 
@@ -435,3 +435,42 @@ class TestCli:
             os.umask(old)
         for name in ("m.json", "r.csv", "t.txt"):
             assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+
+
+class TestAtomicWrite:
+    def test_unchanged_file_is_touched_not_replaced(self, tmp_path):
+        path = tmp_path / "out.csv"
+        atomic_write(path, "a,b\n1,2\n")
+        inode = path.stat().st_ino
+        os.utime(path, (0, 0))
+        atomic_write(path, "a,b\n1,2\n")
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mtime > 0
+        assert path.read_text() == "a,b\n1,2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("old, mode, new", [
+        ("a,b\n", 0o644, "a,c\n"),       # other text
+        ("a,b\r\n", 0o644, "a,b\n"),     # other line ends
+        ("a,b\n", 0o600, "a,b\n"),       # other mode
+    ])
+    def test_other_file_is_replaced(self, tmp_path, old, mode, new):
+        path = tmp_path / "out.csv"
+        path.write_bytes(old.encode())
+        path.chmod(mode)
+        inode = path.stat().st_ino
+        umask = os.umask(0o022)
+        try:
+            atomic_write(path, new)
+        finally:
+            os.umask(umask)
+        assert path.stat().st_ino != inode
+        assert path.read_bytes() == new.encode()
+        assert path.stat().st_mode & 0o777 == 0o644
+
+    def test_symlink_is_replaced_by_a_file(self, tmp_path):
+        target, path = tmp_path / "target.csv", tmp_path / "out.csv"
+        target.write_text("a,b\n")
+        path.symlink_to(target)
+        atomic_write(path, "a,b\n")
+        assert not path.is_symlink() and path.read_text() == "a,b\n"
