@@ -75,7 +75,7 @@ class NumericalError(RsmError):
 
 
 class NonConvergence(NumericalError):
-    """Eigensolver sweep limit reached before the off-diagonal target."""
+    """Eigensolver sweep limit reached with off-diagonal entries still above the threshold."""
 
 
 class SingularMatrix(NumericalError):

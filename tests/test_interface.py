@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +348,22 @@ class TestCli:
     def test_tradeoff_matches_golden(self, capsys):
         assert main(["tradeoff", str(rc.bundled_eu_model_path())]) == 0
         assert capsys.readouterr().out == (GOLDEN / "eu_tradeoff.txt").read_text()
+
+    def test_analyze_does_not_import_numpy_ma(self):
+        # numpy.ma costs every CLI process a few ms of start-up
+        code = ("import runpy, sys\n"
+                "sys.argv = ['rsmcanon', 'analyze', sys.argv[1]]\n"
+                "try:\n"
+                "    runpy.run_module('rsmcanon.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as done:\n"
+                "    assert done.code == 0, done.code\n"
+                "print('numpy.ma' in sys.modules, file=sys.stderr)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run([sys.executable, "-c", code, str(rc.bundled_eu_model_path())],
+                             env=dict(os.environ, PYTHONPATH=src), check=True,
+                             capture_output=True, text=True)
+        assert "saddle" in run.stdout
+        assert run.stderr == "False\n"
 
     @pytest.mark.parametrize("pairing", ["0,1", "5,1"])
     def test_tradeoff_axis_out_of_range_is_input_error(self, model_path, capsys, pairing):

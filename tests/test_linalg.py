@@ -1,12 +1,17 @@
 """Eigensolver, spectral inverse, and solve.
 
-Ground truth comes from numpy.linalg (kept out of the package itself)
-and from small closed-form oracles: trace, cofactor determinants, and
-multiply-back residuals.
+Ground truth comes from numpy.linalg (kept out of the package itself),
+from 50-digit mpmath for graded matrices, and from small closed-form
+oracles: trace, cofactor determinants, and multiply-back residuals.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,16 +24,27 @@ from rsmcanon import (
     solve,
     spectral_inverse,
 )
+from rsmcanon.linalg import _wavefront
 
 from eu_reference import EU_B, EU_LAMBDAS_REF, EU_AXES_REF, match_axes_up_to_sign
 
 # Quoted values carry six significant digits.
 PRINT_TOL = 1e-4
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def random_symmetric(rng, n):
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     return (a + a.T) / 2.0
+
+
+def graded(rng, n, definite):
+    """D A D with the entries of D spanning six decades in a seeded order."""
+    x = rng.standard_normal((n, n))
+    a = x @ x.T + 0.1 * np.eye(n) if definite else (x + x.T) / 2.0
+    d = rng.permutation(np.logspace(0.0, -6.0, n))
+    return d[:, None] * a * d[None, :]
 
 
 def cofactor_det(a):
@@ -54,6 +70,30 @@ class TestSymMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(DimensionMismatch):
             SymMatrix([[1.0, np.nan], [np.nan, 1.0]])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_wavefront_schedule(n):
+    steps = _wavefront(n)
+    assert len(steps) == max(2 * n - 3, 0)
+    at = {}
+    for k, (pq, qp, pp, qq) in enumerate(steps):
+        p, q = np.divmod(pq, n)
+        assert (p < q).all() and len(set(p) | set(q)) == 2 * len(p)  # disjoint pairs
+        np.testing.assert_array_equal(qp, q * n + p)
+        np.testing.assert_array_equal(pp, p * (n + 1))
+        np.testing.assert_array_equal(qq, q * (n + 1))
+        assert not any(x.flags.writeable for x in (pq, qp, pp, qq))
+        for pair in zip(p.tolist(), q.tolist()):
+            assert pair not in at
+            at[pair] = k
+    row_cyclic = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert sorted(at) == row_cyclic
+    # pairs that share an index keep their row-cyclic order
+    for i, first in enumerate(row_cyclic):
+        for later in row_cyclic[i + 1:]:
+            if set(first) & set(later):
+                assert at[first] < at[later]
 
 
 class TestJacobiEigen:
@@ -142,6 +182,38 @@ class TestJacobiEigen:
     def test_non_convergence_signalled(self):
         with pytest.raises(NonConvergence):
             jacobi_eigen([[1.0, 2.0], [2.0, -1.0]], max_sweeps=0)
+
+    def test_diagonal_input_needs_no_sweep(self):
+        eig = jacobi_eigen(np.diag([3.0, -1.0, 1e-300, 0.0]), max_sweeps=0)
+        np.testing.assert_array_equal(eig.lambdas, [3.0, -1.0, 1e-300, 0.0])
+
+    @pytest.mark.parametrize("definite", [False, True])
+    def test_graded_eigenvalues_to_high_relative_accuracy(self, definite):
+        # Every eigenvalue, down to about 1e-12 of the largest, to 1e-12
+        # relative. An absolute stopping rule, a circle round-robin order or no
+        # |a_pp| presort each miss that on some of these matrices.
+        for seed in range(6):
+            s = graded(np.random.default_rng(seed), 6, definite)
+            with mpmath.workdps(50):
+                ref = np.array(sorted(float(x) for x in mpmath.eigsy(
+                    mpmath.matrix(s.tolist()), eigvals_only=True)))
+            ours = np.sort(jacobi_eigen(s).lambdas)
+            assert (np.abs(ours - ref) / np.abs(ref)).max() <= 1e-12, seed
+
+    def test_bit_identical_across_blas_thread_counts(self):
+        code = ("import hashlib, numpy as np, rsmcanon as rc\n"
+                "rng = np.random.default_rng(32)\n"
+                "q, _ = np.linalg.qr(rng.standard_normal((32, 32)))\n"
+                "lam = rng.choice((-1.0, 1.0), 32) * 10.0 ** rng.uniform(0.0, 6.0, 32)\n"
+                "eig = rc.jacobi_eigen((q * lam) @ q.T)\n"
+                "print(hashlib.sha256(eig.lambdas.tobytes() + eig.vectors.tobytes()).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(digests) == 1
 
     def test_tiny_entry_against_wide_gap_does_not_overflow(self):
         # |tau| = |a_qq - a_pp| / (2 |a_pq|) is about 5e287 for the

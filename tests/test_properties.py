@@ -10,8 +10,10 @@ at M = 1e-8, and 8,700 at M = 1e-12. Every row of ``boundary_points``
 and ``emit_plot_csv`` is checked against the conic it should lie on.
 A wider grading, down to 1e-13 max|lambda| across the 1e-9 degeneracy
 cutoff, checks that a model ``canonicalize`` accepts passes the later
-stages too. Fits are checked against numpy lstsq: the coefficients, and
-every partial F against an explicit drop-one refit.
+stages too. The eigensolver keeps its sort and sign convention on
+these B, and its eigenvalues do not move under a permutation or a sign
+flip of the variables. Fits are checked against numpy lstsq: the
+coefficients, and every partial F against an explicit drop-one refit.
 """
 
 import io
@@ -69,6 +71,29 @@ def regions(draw):
 
 
 samples = st.tuples(st.integers(2, 60), st.floats(0.1, 3.0))
+
+
+@given(graded_model())
+def test_eigen_sort_sign_and_reconstruction(case):
+    b = case[0].interaction.array
+    eig = rc.jacobi_eigen(b)
+    keys = [(-abs(x), -x) for x in eig.lambdas]
+    assert keys == sorted(keys)
+    lead = np.abs(eig.vectors).argmax(axis=0)
+    assert (eig.vectors[lead, np.arange(len(b))] > 0.0).all()
+    assert np.linalg.norm(eig.reconstruct() - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@given(graded_model(), st.data())
+def test_eigenvalues_invariant_under_permutation_and_sign_flip(case, data):
+    b = case[0].interaction.array
+    n = len(b)
+    perm = data.draw(st.permutations(range(n)))
+    signs = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    lam = np.sort(rc.jacobi_eigen(b).lambdas)
+    for other in (b[np.ix_(perm, perm)], signs[:, None] * b * signs):
+        np.testing.assert_allclose(np.sort(rc.jacobi_eigen(other).lambdas), lam,
+                                   rtol=0.0, atol=1e-13 * np.abs(lam).max())
 
 
 def check_rows(canon, region, z, x):
