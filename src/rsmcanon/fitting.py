@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, RankDeficient, TooFewRows
 from .linalg import DEFAULT_COND_TOL, SymMatrix, jacobi_eigen
-from .model import ModelTerm, QuadraticModel, build_model
+from .model import ModelTerm, QuadraticModel, build_model, reciprocal_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +78,10 @@ def transform_response(values, exponent: float) -> np.ndarray:
     """Elementwise power transform of natural-units responses.
 
     Non-integer or negative exponents require strictly positive values;
-    offending row indices are listed in the DomainError.
+    offending row indices are listed in the DomainError, as is an
+    exponent that is not finite or has no finite reciprocal.
     """
+    reciprocal_exponent(exponent)
     vals = np.asarray(values, dtype=float)
     needs_positive = exponent < 0 or not float(exponent).is_integer()
     if needs_positive:

@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra for small matrices.
 
 The eigensolver is a Jacobi iteration that applies each sweep's
-row-cyclic rotations in wavefront steps of disjoint pairs, one matrix
-product per step, and stops on a relative threshold, so graded
-matrices keep high relative accuracy. Order and sign convention are
+row-cyclic rotations in wavefront steps of disjoint pairs (one gather,
+one scatter into J and two products per step, the second over the
+matrix stacked on its eigenvectors) and stops on a relative threshold,
+so graded matrices keep high relative accuracy. Order and sign convention are
 fixed: identical inputs give bit-identical output on one platform with
 a fixed BLAS thread count, and across thread counts up to n = 64.
 Spectral inversion and linear solves are built on the same
@@ -96,9 +97,12 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
 
     Indices are first ordered by descending |a_pp|. Each sweep runs the
     steps of ``_wavefront``, rotating a step's disjoint pairs (p, q) at
-    once as one orthogonal J: a <- J' a J. A pair rotates only while
+    once as one orthogonal J: a <- J' a J, v <- v J. A step gathers
+    (a_pq, a_pp, a_qq) in one read; a pair rotates only while
     |a_pq| > ``tol`` sqrt|a_pp| sqrt|a_qq| (Demmel & Veselic, 1992),
-    which keeps graded matrices to high relative accuracy, and the
+    which keeps graded matrices to high relative accuracy. J is written
+    in one scatter, and v is kept under a in one 2n x n array, so one
+    product [J'a; v] J updates both and a still rounds as (J'a) J. The
     iteration ends after a sweep with no rotation.
 
     Raises NonConvergence if a sweep after the first ``max_sweeps``
@@ -110,37 +114,39 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
     # largest |a_pp| first: the row-cyclic order then keeps graded
     # indefinite matrices accurate, whatever their input order
     perm = np.argsort(-np.abs(source.array.diagonal()), kind="stable")
-    a = source.array[perm][:, perm]
     eye = np.eye(n)
-    v = eye[:, perm]
+    av = np.vstack((source.array[perm][:, perm], eye[:, perm]))  # a over v
     for sweep in itertools.count():
         rotated = False
-        for pq, qp, pp, qq in _wavefront(n):
-            apq, app, aqq = a.take(pq), a.take(pp), a.take(qq)
-            rot = np.abs(apq) > tol * np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq))
-            if not rot.any():
+        for gather, scatter in _wavefront(n):
+            apq, app, aqq = g = av.take(gather)
+            root = np.sqrt(np.abs(g[1:]))
+            rot = np.abs(apq) > tol * root[0] * root[1]
+            count = np.count_nonzero(rot)
+            if not count:
                 continue
             if sweep >= max_sweeps:
                 raise NonConvergence(f"off-diagonal entries above {tol:g} sqrt|a_pp a_qq| "
                                      f"after {max_sweeps} sweeps")
             rotated = True
-            if not rot.all():
-                pq, qp, pp, qq, apq, app, aqq = (x[rot] for x in (pq, qp, pp, qq, apq, app, aqq))
+            if count < rot.size:
+                (apq, app, aqq), scatter = g[:, rot], scatter[:, rot]
             h = aqq - app
             # tan of the angle that annihilates a_pq, in a form that cannot overflow
             t = np.copysign(2.0, h) * apq / (np.abs(h) + np.hypot(h, 2.0 * apq))
             c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
             j = eye.copy()
-            j.flat[pp], j.flat[qq], j.flat[pq], j.flat[qp] = c, c, t * c, -t * c
-            a = j.T @ a @ j
-            a.flat[pq] = a.flat[qp] = 0.0  # zero in exact arithmetic
-            v = v @ j
+            j.put(scatter, np.concatenate((c, c, s, -s)))
+            av[:n] = j.T @ av[:n]
+            av = av @ j  # [J'a; v] J: a <- J'aJ and v <- vJ
+            av.put(scatter[2:], 0.0)  # a_pq and a_qp, zero in exact arithmetic
         if not rotated:
             break
 
-    diag = a.diagonal()
+    diag = av.diagonal()  # of a, the top n rows
     order = np.lexsort((-diag, -np.abs(diag)))  # descending |lambda|, then lambda
-    lambdas, vectors = diag[order], np.ascontiguousarray(v[:, order])
+    lambdas, vectors = diag[order], np.ascontiguousarray(av[n:, order])
     vectors *= np.where(vectors[np.abs(vectors).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
     lambdas.setflags(write=False)
     vectors.setflags(write=False)
@@ -148,7 +154,7 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
 
 
 @functools.lru_cache(maxsize=None)
-def _wavefront(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+def _wavefront(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The 2n - 3 steps of one wavefront Jacobi sweep of an n x n matrix.
 
     Step k, k = 1 .. 2n - 3, holds the pairs p < q with p + q = k. Pairs
@@ -156,13 +162,15 @@ def _wavefront(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     their cyclic-by-rows order, (0, 1), (0, 2), ..., (n - 2, n - 1), so
     in exact arithmetic a sweep is a row-cyclic sweep (Shroff &
     Schreiber, 1989); a round-robin order, in n - 1 steps, loses digits
-    on graded indefinite matrices. A step is given as read-only flat
-    positions (pq, qp, pp, qq) into an n x n array, one entry per pair.
+    on graded indefinite matrices. A step is a read-only pair of flat
+    position arrays into an n x n array, one column per pair: the
+    gather rows (pq, pp, qq) and the scatter rows (pp, qq, pq, qp).
     """
     steps = []
     for k in range(1, 2 * n - 2):
         p = np.arange(max(0, k - n + 1), (k + 1) // 2)
-        step = (p * n + k - p, (k - p) * n + p, p * (n + 1), (k - p) * (n + 1))
+        pq, qp, pp, qq = p * n + k - p, (k - p) * n + p, p * (n + 1), (k - p) * (n + 1)
+        step = (np.array([pq, pp, qq]), np.array([pp, qq, pq, qp]))
         for pos in step:
             pos.setflags(write=False)
         steps.append(step)

@@ -19,6 +19,7 @@ factors are expected to be applied before construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,7 @@ class QuadraticModel:
             )
         if not np.all(np.isfinite(beta)) or not np.isfinite(self.intercept):
             raise DimensionMismatch("model coefficients must be finite")
-        if self.exponent == 0.0:
-            raise DomainError("response exponent must be nonzero")
+        reciprocal_exponent(self.exponent)
         beta = beta.copy()
         beta.setflags(write=False)
         object.__setattr__(self, "linear", beta)
@@ -190,9 +190,17 @@ def predict_response(model: QuadraticModel, point) -> float:
     return invert_transform(y, model.exponent)
 
 
+def reciprocal_exponent(exponent: float) -> float:
+    """1/p for a response exponent p; DomainError unless p and 1/p are finite."""
+    p = float(exponent)
+    if p != 0.0 and math.isfinite(p) and math.isfinite(1.0 / p):
+        return 1.0 / p
+    raise DomainError(f"response exponent {exponent!r} must be finite with a finite reciprocal")
+
+
 def invert_transform(value: float, exponent: float) -> float:
     """Map a transformed response back to natural units."""
-    inv = 1.0 / exponent
+    inv = reciprocal_exponent(exponent)
     if value > 0.0:
         return float(value ** inv)
     if value == 0.0 and inv > 0.0:

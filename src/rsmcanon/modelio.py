@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import stat
 import tempfile
@@ -203,7 +204,8 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
     Rows from excluded years are dropped; rows with negative
     quantities are rejected and flagged rather than aborting the load.
     Conflicting co2_ppmv values within a year, duplicate
-    (year, country) rows, and malformed cells raise ParseError.
+    (year, country) rows, and malformed or non-finite cells raise
+    ParseError; a blank co2_ppmv cell is allowed.
     """
     exclude = {int(y) for y in exclude_years}
     rows: list[EmissionsRow] = []
@@ -221,7 +223,8 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
         if not has_co2 and header != expected:
             raise ParseError(f"{path}: header {header} does not match {expected}[,co2_ppmv]")
         for line_no, record in enumerate(reader, start=2):
-            if not record or all(not cell.strip() for cell in record):
+            if ((len(record) != len(header) or not record[0].strip())
+                    and not any(cell.strip() for cell in record)):
                 continue
             if len(record) != len(header):
                 raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells")
@@ -230,22 +233,15 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
             except ValueError:
                 raise ParseError(f"{path}: line {line_no}, column 'year': {record[0]!r}") from None
             country = record[1].strip()
-            values = []
-            for field, cell in zip(EMISSIONS_FIELDS, record[2:6]):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {line_no}, column {field!r}: {cell!r}"
-                    ) from None
-            co2 = None
-            if has_co2 and record[6].strip():
-                try:
-                    co2 = float(record[6])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {line_no}, column 'co2_ppmv': {record[6]!r}"
-                    ) from None
+            try:
+                values = (float(record[2]), float(record[3]), float(record[4]), float(record[5]))
+                co2 = float(record[6]) if has_co2 and record[6].strip() else None
+            except ValueError:  # name the first cell that failed
+                for field, cell in zip((*EMISSIONS_FIELDS, "co2_ppmv"), record[2:]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ParseError(f"{path}: line {line_no}, column {field!r}: {cell!r}") from None
             if year in exclude:
                 continue
             if (year, country) in seen:
@@ -256,15 +252,22 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
                 rejected.append((line_no, NegativeEmission(
                     f"negative emission for {country!r} in {year}").args[0]))
                 continue
-            rows.append(EmissionsRow(year, country, tuple(values), co2))
+            if not math.isfinite(sum(values, co2 or 0.0)):  # a cell, or the sum overflowed
+                for field, cell in zip((*EMISSIONS_FIELDS, "co2_ppmv"), record[2:]):
+                    if cell.strip() and not math.isfinite(float(cell)):
+                        raise ParseError(f"{path}: line {line_no}, column {field!r}: "
+                                         f"{cell!r} is not finite")
+            rows.append(EmissionsRow(year, country, values, co2))
 
     table = EmissionsTable(tuple(rows), tuple(sorted(exclude)), tuple(rejected))
     years = sorted({r.year for r in rows})
     totals = np.zeros((len(years), len(EMISSIONS_FIELDS)))
     co2_by_year: dict[int, float] = {}
     pos = {y: k for k, y in enumerate(years)}
+    # unbuffered and in row order, so each year sums as a running total would
+    np.add.at(totals, [pos[r.year] for r in rows],
+              np.reshape([r.values for r in rows], (-1, len(EMISSIONS_FIELDS))))
     for r in rows:
-        totals[pos[r.year]] += np.asarray(r.values)
         if r.co2_ppmv is not None:
             prev = co2_by_year.get(r.year)
             if prev is not None and prev != r.co2_ppmv:

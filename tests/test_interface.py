@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,14 @@ class TestModelFiles:
         with pytest.raises(rc.ParseError) as err:
             rc.load_model(path)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("exponent", ["NaN", "Infinity", "-Infinity", "5e-324"])
+    def test_exponent_without_finite_reciprocal_rejected(self, tmp_path, exponent):
+        path = tmp_path / "exp.json"
+        path.write_text('{"variables": ["x"], "exponent": %s, "intercept": 1.0, '
+                        '"terms": [{"vars": ["x", "x"], "coef": 1.0}]}' % exponent)
+        with pytest.raises(rc.DomainError, match=f"exponent {float(exponent)!r}"):
+            rc.load_model(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -188,6 +197,74 @@ class TestEmissions:
         write_emissions(path, ["2000,Austria,1,1"], header="year,country,liquid,gas")
         with pytest.raises(rc.ParseError):
             rc.load_emissions(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["2000,Austria,1,2,3,4,316.0", "", ",,,,,,", " , ,\t, , , , ",
+                               ",,", "2000,Belgium,5,6,7,8,"])
+        table, totals = rc.load_emissions(path)
+        assert len(table.rows) == 2 and table.rejected == ()
+        np.testing.assert_array_equal(totals.values, [[6.0, 8.0, 10.0, 12.0]])
+
+    def test_short_row_names_cell_count(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["2000,Austria,1,2,3,4,316.0", "2001,Austria,1,2"])
+        with pytest.raises(rc.ParseError, match=r"line 3: expected 7 cells"):
+            rc.load_emissions(path)
+
+    def test_malformed_co2_names_column(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["2000,Austria,1,2,3,4,ppm"])
+        with pytest.raises(rc.ParseError, match=r"line 2, column 'co2_ppmv': 'ppm'"):
+            rc.load_emissions(path)
+
+    def test_conflicting_co2_within_year(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["2000,Austria,1,2,3,4,316.0", "2000,Belgium,1,2,3,4,317.0"])
+        with pytest.raises(rc.ParseError, match="conflicting co2_ppmv for year 2000"):
+            rc.load_emissions(path)
+
+    @pytest.mark.parametrize("cells", ["nan,-1,1,1", "-1,nan,1,1", "1,1,-inf,nan"])
+    def test_negative_row_with_nan_is_rejected(self, tmp_path, cells):
+        path = tmp_path / "e.csv"
+        write_emissions(path, [f"2000,Austria,{cells},316.0", "2000,Belgium,7,1,1,1,316.0"])
+        table, totals = rc.load_emissions(path)
+        assert [line for line, _ in table.rejected] == [2]
+        np.testing.assert_array_equal(totals.values, [[7.0, 1.0, 1.0, 1.0]])
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text(EMISSIONS_HEADER + "\n")
+        table, totals = rc.load_emissions(path)
+        assert table.rows == () and totals.years == () and totals.co2_ppmv == ()
+        assert totals.values.shape == (0, 4)
+
+    def test_excluded_year_cells_still_parsed(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["1964,Austria,1,oops,1,1,319.0", "1965,Austria,3,3,3,3,320.0"])
+        with pytest.raises(rc.ParseError, match="line 2, column 'gas'"):
+            rc.load_emissions(path, exclude_years=[1964])
+        # a number that is not finite is checked only on rows that are kept
+        write_emissions(path, ["1964,Austria,1,nan,1,1,inf", "1965,Austria,3,3,3,3,320.0"])
+        table, totals = rc.load_emissions(path, exclude_years=[1964])
+        assert totals.years == (1965,) and len(table.rows) == 1
+
+    @pytest.mark.parametrize("cells, column", [
+        ("inf,1,1,1,316.0", "liquid"), ("1,nan,1,1,316.0", "gas"),
+        ("1,1,NaN,1,316.0", "gas_flares"), ("1,1,1,Infinity,316.0", "bunker"),
+        ("1,1,1,1,nan", "co2_ppmv"), ("1,1,1,1,-inf", "co2_ppmv"),
+    ])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cells, column):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["2000,Austria,1,1,1,1,316.0", f"2001,Austria,{cells}"])
+        with pytest.raises(rc.ParseError, match=rf"line 3, column '{column}': .* not finite"):
+            rc.load_emissions(path)
+
+    def test_finite_cells_with_an_overflowing_sum_are_kept(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["2000,Austria,1e308,1e308,1,1,316.0"])
+        _, totals = rc.load_emissions(path)
+        np.testing.assert_array_equal(totals.values, [[1e308, 1e308, 1.0, 1.0]])
 
     def test_aggregation_order_invariant(self, tmp_path):
         rows = [
@@ -419,6 +496,18 @@ class TestCli:
         for g, w in zip(got[2:-1], want[2:-1]):
             assert g.split()[:3] == w.split()[:3]  # rank, label, coefficient
             assert float(g.split()[3]) == pytest.approx(float(w.split()[3]), rel=1e-8)
+
+    @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf", "5e-324"])
+    def test_fit_exponent_without_finite_reciprocal(self, tmp_path, capsys, exponent):
+        write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
+        out = tmp_path / "fit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", str(tmp_path / "emissions.csv"), "--terms", "Li,Ga",
+                         f"--exponent={exponent}", "-o", str(out)])
+        assert code == 2
+        assert f"DomainError: response exponent {float(exponent)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2

@@ -77,13 +77,14 @@ def test_wavefront_schedule(n):
     steps = _wavefront(n)
     assert len(steps) == max(2 * n - 3, 0)
     at = {}
-    for k, (pq, qp, pp, qq) in enumerate(steps):
+    for k, (gather, scatter) in enumerate(steps):
+        pq, pp, qq = gather
         p, q = np.divmod(pq, n)
         assert (p < q).all() and len(set(p) | set(q)) == 2 * len(p)  # disjoint pairs
-        np.testing.assert_array_equal(qp, q * n + p)
         np.testing.assert_array_equal(pp, p * (n + 1))
         np.testing.assert_array_equal(qq, q * (n + 1))
-        assert not any(x.flags.writeable for x in (pq, qp, pp, qq))
+        np.testing.assert_array_equal(scatter, [pp, qq, pq, q * n + p])
+        assert not gather.flags.writeable and not scatter.flags.writeable
         for pair in zip(p.tolist(), q.tolist()):
             assert pair not in at
             at[pair] = k
@@ -201,12 +202,16 @@ class TestJacobiEigen:
             assert (np.abs(ours - ref) / np.abs(ref)).max() <= 1e-12, seed
 
     def test_bit_identical_across_blas_thread_counts(self):
+        # n = 15 is the normal matrix of a 14-term fit; each step's products
+        # are (n x n)(n x n) and (2n x n)(n x n)
         code = ("import hashlib, numpy as np, rsmcanon as rc\n"
-                "rng = np.random.default_rng(32)\n"
-                "q, _ = np.linalg.qr(rng.standard_normal((32, 32)))\n"
-                "lam = rng.choice((-1.0, 1.0), 32) * 10.0 ** rng.uniform(0.0, 6.0, 32)\n"
-                "eig = rc.jacobi_eigen((q * lam) @ q.T)\n"
-                "print(hashlib.sha256(eig.lambdas.tobytes() + eig.vectors.tobytes()).hexdigest())")
+                "for n in (15, 32, 64):\n"
+                "    rng = np.random.default_rng(n)\n"
+                "    q, _ = np.linalg.qr(rng.standard_normal((n, n)))\n"
+                "    lam = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(0.0, 6.0, n)\n"
+                "    eig = rc.jacobi_eigen((q * lam) @ q.T)\n"
+                "    print(n, hashlib.sha256(eig.lambdas.tobytes() + eig.vectors.tobytes())"
+                ".hexdigest())")
         digests = set()
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads,

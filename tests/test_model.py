@@ -16,6 +16,7 @@ from rsmcanon import (
     predict_response,
 )
 from rsmcanon.model import invert_transform
+from rsmcanon.fitting import transform_response
 
 # frozen scalar oracles: (1.23e-6) ** (-1/2.376) and 316 ** (-2.376)
 PREDICT_AT_ZERO = 307.1946682067966
@@ -167,6 +168,16 @@ class TestPredictResponse:
     def test_monotone_decreasing_for_negative_exponent(self):
         lo, hi = invert_transform(1e-6, -2.376), invert_transform(2e-6, -2.376)
         assert lo > hi
+
+    @pytest.mark.parametrize("exponent", [0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310])
+    def test_exponent_without_finite_reciprocal_rejected(self, exponent):
+        match = f"exponent {exponent!r}"
+        with pytest.raises(DomainError, match=match):
+            build_model([], intercept=1.0, exponent=exponent, names=("x",))
+        with pytest.raises(DomainError, match=match):
+            invert_transform(-1.0, exponent)
+        with pytest.raises(DomainError, match=match):
+            transform_response([1.0, 2.0], exponent)
 
     def test_transform_oracle_316(self):
         assert 316.0 ** (-2.376) == pytest.approx(TRANSFORMED_316, rel=1e-12)

@@ -12,7 +12,8 @@ A wider grading, down to 1e-13 max|lambda| across the 1e-9 degeneracy
 cutoff, checks that a model ``canonicalize`` accepts passes the later
 stages too. The eigensolver keeps its sort and sign convention on
 these B, and its eigenvalues do not move under a permutation or a sign
-flip of the variables. Fits are checked against numpy lstsq: the
+flip of the variables; the gradient vanishes at the canonical center
+to roundoff. Fits are checked against numpy lstsq: the
 coefficients, and every partial F against an explicit drop-one refit.
 """
 
@@ -94,6 +95,15 @@ def test_eigenvalues_invariant_under_permutation_and_sign_flip(case, data):
     for other in (b[np.ix_(perm, perm)], signs[:, None] * b * signs):
         np.testing.assert_allclose(np.sort(rc.jacobi_eigen(other).lambdas), lam,
                                    rtol=0.0, atol=1e-13 * np.abs(lam).max())
+
+
+@given(graded_model())
+def test_center_is_stationary(case):
+    model = case[0]
+    canon = rc.canonicalize(model)
+    scale = (np.linalg.norm(model.linear)
+             + np.linalg.norm(model.interaction.array) * np.linalg.norm(canon.center))
+    assert np.linalg.norm(rc.gradient(model, canon.center)) <= 1e-9 * scale
 
 
 def check_rows(canon, region, z, x):
