@@ -99,6 +99,8 @@ def load_model_document(path) -> dict:
     for key in ("exponent", "intercept"):
         if not isinstance(doc[key], (int, float)) or isinstance(doc[key], bool):
             raise SchemaError(f"{path}: {key!r} must be a number")
+    if not math.isfinite(doc["intercept"]):
+        raise SchemaError(f"{path}: 'intercept' must be finite, got {doc['intercept']!r}")
     if not isinstance(doc["terms"], list):
         raise SchemaError(f"{path}: 'terms' must be a list")
     return doc
@@ -118,6 +120,9 @@ def model_from_document(doc: dict) -> QuadraticModel:
             idx = [index[v] for v in entry["vars"]]
         except KeyError as exc:
             raise SchemaError(f"term {pos}: unknown variable {exc.args[0]!r}") from exc
+        if not math.isfinite(entry["coef"]):
+            raise SchemaError(f"term {pos} ({':'.join(entry['vars'])}): 'coef' must be finite, "
+                              f"got {entry['coef']!r}")
         if len(idx) == 1:
             terms.append(ModelTerm.linear(idx[0], entry["coef"]))
         elif len(idx) == 2:
@@ -265,8 +270,12 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
     co2_by_year: dict[int, float] = {}
     pos = {y: k for k, y in enumerate(years)}
     # unbuffered and in row order, so each year sums as a running total would
-    np.add.at(totals, [pos[r.year] for r in rows],
-              np.reshape([r.values for r in rows], (-1, len(EMISSIONS_FIELDS))))
+    with np.errstate(over="ignore"):  # an overflowing total is named below
+        np.add.at(totals, [pos[r.year] for r in rows],
+                  np.reshape([r.values for r in rows], (-1, len(EMISSIONS_FIELDS))))
+    if not np.isfinite(totals).all():
+        k, c = np.argwhere(~np.isfinite(totals))[0]
+        raise ParseError(f"{path}: year {years[k]}, column {EMISSIONS_FIELDS[c]!r}: sum overflows")
     for r in rows:
         if r.co2_ppmv is not None:
             prev = co2_by_year.get(r.year)
@@ -291,11 +300,20 @@ def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFA
     up to rounding); hyperbolas emit ``count`` rows per branch (r = +1,
     then r = -1), 2*count in total. Raises InputError for count < 2 or a
     t_max that is not positive and finite.
+
+    The r = -1 rows reuse the r = +1 ``repr`` strings of param and z,
+    flipping the sign of z by string (0.0 gives -0.0). That is exact:
+    r * cosh(t) and r * sinh(t) negate exactly, and a * (-c) = -(a * c).
     """
-    t, r, z, x = _sample(region, count, t_max, closed=True)
+    t, _, z, x = _sample(region, count, t_max, closed=True)
     i, j = region.pair
     lines = [",".join(["param", "r", f"z_{i}", f"z_{j}", *region.names])]
-    lines += [",".join(map(repr, row)) for row in np.column_stack([t, r, z, x]).tolist()]
+    xs = [",".join(map(repr, row)) for row in x.tolist()]
+    ts, z1, z2 = (list(map(repr, col)) for col in (t[:count].tolist(), *z[:count].T.tolist()))
+    lines += [f"{p},1.0,{a},{b},{row}" for p, a, b, row in zip(ts, z1, z2, xs)]
+    if region.unbounded:
+        z1, z2 = ([s[1:] if s[0] == "-" else "-" + s for s in col] for col in (z1, z2))
+        lines += [f"{p},-1.0,{a},{b},{row}" for p, a, b, row in zip(ts, z1, z2, xs[count:])]
     text = "\n".join(lines) + "\n"
     if path is not None:
         atomic_write(path, text)

@@ -52,7 +52,8 @@ class AnalysisReport:
 
 
 def _plain(value):
-    """Numpy scalars/arrays to plain Python so json stays deterministic."""
+    """A caller-supplied value as plain Python, so json stays deterministic
+    and an integer argument renders as an integer."""
     if isinstance(value, np.ndarray):
         return [_plain(v) for v in value]
     if isinstance(value, (np.floating, float)):
@@ -61,8 +62,6 @@ def _plain(value):
         return int(value)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
     return value
 
 
@@ -74,23 +73,22 @@ def _region_section(canon: CanonicalModel, i: int, j: int, bound: float) -> dict
         "kind": reg.kind.value,
         "bound": reg.bound,
         "unbounded": reg.unbounded,
-        "semiaxes": _plain(reg.semiaxes),
+        "semiaxes": list(reg.semiaxes),
         "basis": [basis1, basis2],
         "affine": [
-            {"variable": name, "center": _plain(row[0]),
-             basis1: _plain(row[1]), basis2: _plain(row[2])}
-            for name, row in zip(reg.names, reg.affine)
+            {"variable": name, "center": center, basis1: coef1, basis2: coef2}
+            for name, (center, coef1, coef2) in zip(reg.names, reg.affine.tolist())
         ],
     }
     if reg.kind.is_elliptical:
         section["max_intervals"] = [
-            {"variable": name, "center": _plain(c), "half_width": _plain(h)}
+            {"variable": name, "center": c, "half_width": h}
             for name, c, h in max_intervals(reg)
         ]
     else:
         section["marginal_rates"] = [
-            {"from": r.from_variable, "to": r.to_variable, "ratio": _plain(r.ratio),
-             "basis": r.branch, "bound": _plain(r.bound)}
+            {"from": r.from_variable, "to": r.to_variable, "ratio": r.ratio,
+             "basis": r.branch, "bound": r.bound}
             for r in marginal_rates(reg)
         ]
     return section
@@ -120,16 +118,16 @@ def run_analysis(model: QuadraticModel, pairs=None, bound: float = 1e-8,
         region_canon = canon
 
     eigen_section = {
-        "eigenvalues": _plain(canon.lambdas),
-        "axes": [_plain(canon.axes[:, k]) for k in range(canon.n)],
+        "eigenvalues": canon.lambdas.tolist(),
+        "axes": canon.axes.T.tolist(),
         "axis_labels": {f"z{k}": canon.axis_label(k) for k in range(1, canon.n + 1)},
         "dominant_variables": {
             f"z{k}": list(canon.dominant_variables(k)) for k in range(1, canon.n + 1)
         },
     }
     canonical_section = {
-        "center": _plain(canon.center),
-        "y0": _plain(canon.y0),
+        "center": canon.center.tolist(),
+        "y0": float(canon.y0),
         "kind": canon.kind.label,
         "degenerate_axes": list(canon.kind.degenerate_axes),
     }
@@ -142,12 +140,12 @@ def run_analysis(model: QuadraticModel, pairs=None, bound: float = 1e-8,
     if pairing is None:
         pairing = default_pairing(canon)
     slopes = [
-        {"pair": [i, j], "slope": _plain(_staged("tradeoff", iso_slopes, canon, i, j)[0])}
+        {"pair": [i, j], "slope": _staged("tradeoff", iso_slopes, canon, i, j)[0]}
         for i, j in pairing
     ]
     rates = [
-        {"from": r.from_variable, "to": r.to_variable, "ratio": _plain(r.ratio),
-         "branch": r.branch, "bound": _plain(r.bound)}
+        {"from": r.from_variable, "to": r.to_variable, "ratio": r.ratio,
+         "branch": r.branch, "bound": r.bound}
         for r in _staged("tradeoff", conversion_rates, canon, pairing)
     ]
 
@@ -157,8 +155,8 @@ def run_analysis(model: QuadraticModel, pairs=None, bound: float = 1e-8,
             "response_label": model.response_label,
             "exponent": _plain(model.exponent),
             "intercept": _plain(model.intercept),
-            "linear": _plain(model.linear),
-            "interaction": [_plain(row) for row in model.interaction.array],
+            "linear": model.linear.tolist(),
+            "interaction": model.interaction.array.tolist(),
         },
         eigen=eigen_section,
         canonical=canonical_section,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -100,6 +101,24 @@ class TestModelFiles:
                         '"terms": [{"vars": ["x", "x"], "coef": 1.0}]}' % exponent)
         with pytest.raises(rc.DomainError, match=f"exponent {float(exponent)!r}"):
             rc.load_model(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where, named", [
+        ("intercept", "'intercept' must be finite"),
+        ("coef", "term 2 (x:y): 'coef' must be finite"),
+    ], ids=["intercept", "coef"])
+    def test_non_finite_coefficient_names_key_or_term(self, tmp_path, capsys, value, where, named):
+        path = tmp_path / "nonfinite.json"
+        path.write_text('{"variables": ["x", "y"], "exponent": 1.0, "intercept": %s, "terms": ['
+                        '{"vars": ["x", "x"], "coef": -1.0}, {"vars": ["y", "y"], "coef": -1.0}, '
+                        '{"vars": ["x", "y"], "coef": %s}]}'
+                        % ((value, "0.5") if where == "intercept" else ("1.0", value)))
+        named += f", got {float(value)!r}"
+        with pytest.raises(rc.SchemaError, match=re.escape(named)):
+            rc.load_model(path)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "SchemaError: " in err and named in err
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -265,6 +284,17 @@ class TestEmissions:
         write_emissions(path, ["2000,Austria,1e308,1e308,1,1,316.0"])
         _, totals = rc.load_emissions(path)
         np.testing.assert_array_equal(totals.values, [[1e308, 1e308, 1.0, 1.0]])
+
+    def test_overflowing_year_total_names_year_and_column(self, tmp_path, capsys):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["1999,Austria,1,1,1,1,316.0", "2000,Austria,1e308,1,1,1,317.0",
+                               "2000,Belgium,1e308,1,1,1,317.0"])
+        with pytest.raises(rc.ParseError, match="year 2000, column 'liquid': sum overflows"):
+            rc.load_emissions(path)
+        assert main(["fit", str(path), "--terms", "Li", "--exponent", "1.0",
+                     "-o", str(tmp_path / "fit.json")]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError: " in err and "year 2000, column 'liquid'" in err
 
     def test_aggregation_order_invariant(self, tmp_path):
         rows = [

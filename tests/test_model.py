@@ -65,6 +65,13 @@ class TestBuildModel:
         with pytest.raises(IndexOutOfRange):
             build_model([ModelTerm.linear(2, 1.0)], 0.0, 1.0, ("x", "y"))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, value):
+        with pytest.raises(DimensionMismatch, match="model coefficients must be finite"):
+            build_model([], intercept=value, exponent=1.0, names=("x",))
+        with pytest.raises(DimensionMismatch, match="matrix entries must be finite"):
+            build_model([ModelTerm.quadratic(0, 1, value)], 0.0, 1.0, ("x", "y"))
+
     def test_terms_round_trip(self):
         m = toy_model()
         rebuilt = build_model(m.terms, m.intercept, m.exponent, m.names)

@@ -15,9 +15,13 @@ these B, and its eigenvalues do not move under a permutation or a sign
 flip of the variables; the gradient vanishes at the canonical center
 to roundoff. Fits are checked against numpy lstsq: the
 coefficients, and every partial F against an explicit drop-one refit.
+The CSV text must equal a row-by-row ``repr`` rendering byte for byte,
+and the per-point functions must reject a non-finite entry before any
+arithmetic can warn.
 """
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from hypothesis.extra.numpy import arrays
 
 import rsmcanon as rc
 import rsmcanon.fitting as fitting
+from rsmcanon.regions import _sample
 
 LAMBDA_SCALE = 1e-16
 unit = st.floats(-1.0, 1.0)
@@ -146,6 +151,49 @@ def test_semiaxes_scale_as_root_bound(case, factor):
     scaled = build(canon, *region.pair, region.bound * factor ** 2)
     np.testing.assert_allclose(scaled.semiaxes, np.multiply(region.semiaxes, factor),
                                rtol=1e-12)
+
+
+def row_wise_csv(region, count, t_max):
+    """``emit_plot_csv`` text rendered one row at a time, ``repr`` on every float."""
+    t, r, z, x = _sample(region, count, t_max, closed=True)
+    i, j = region.pair
+    lines = [",".join(["param", "r", f"z_{i}", f"z_{j}", *region.names])]
+    lines += [",".join(map(repr, row)) for row in np.column_stack([t, r, z, x]).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@given(regions(), st.integers(2, 400), st.floats(0.1, 3.0))
+def test_plot_csv_bytes_match_row_wise_rendering(case, count, t_max):
+    region = case[1]
+    assert rc.emit_plot_csv(region, count, t_max) == row_wise_csv(region, count, t_max)
+
+
+@st.composite
+def dense_model(draw):
+    """A model of 1 to 10 variables with every coefficient drawn from [-1, 1]."""
+    n = draw(st.integers(1, 10))
+    b = draw(arrays(float, (n, n), elements=unit))
+    return rc.QuadraticModel(tuple(f"x{k}" for k in range(1, n + 1)), draw(unit),
+                             draw(arrays(float, (n,), elements=unit)), rc.SymMatrix(b + b.T), 1.0)
+
+
+@given(dense_model(), st.data())
+def test_non_finite_point_rejected_before_any_arithmetic(model, data):
+    point = data.draw(arrays(float, (model.n,), elements=st.floats(-1e300, 1e300)))
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    point[data.draw(st.integers(0, model.n - 1))] = bad
+    for fn in (rc.predict_response, rc.evaluate_matrix, rc.gradient, rc.evaluate_terms):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rc.DimensionMismatch, match="^point entries must be finite$"):
+                fn(model, point)
+
+
+@given(dense_model(), st.data())
+def test_evaluate_matrix_adds_as_numpy_does(model, data):
+    x = data.draw(arrays(float, (model.n,), elements=st.floats(-1e6, 1e6)))
+    b0, beta, b = model.intercept, model.linear, model.interaction.array
+    assert rc.evaluate_matrix(model, x).hex() == float(b0 + beta @ x + x @ (b @ x)).hex()
 
 
 @st.composite
