@@ -3,9 +3,11 @@
 The eigensolver is a Jacobi iteration that applies each sweep's
 row-cyclic rotations in wavefront steps of disjoint pairs (one gather,
 one scatter into J and two products per step, the second over the
-matrix stacked on its eigenvectors) and stops on a relative threshold,
-so graded matrices keep high relative accuracy. Order and sign convention are
-fixed: identical inputs give bit-identical output on one platform with
+matrix stacked on its eigenvectors), rotates only above a relative
+threshold, so graded matrices keep high relative accuracy, and stops
+when a test of all pairs before a sweep finds none to rotate (exact, as
+only rotations change the matrix). Order and sign convention are fixed:
+identical inputs give bit-identical output on one platform with
 a fixed BLAS thread count, and across thread counts up to n = 64.
 Spectral inversion and linear solves are built on the same
 decomposition. Everything here is scale-free; physical units live in
@@ -74,12 +76,15 @@ class EigenDecomposition:
     ``lambdas`` is ordered by descending absolute value (ties broken by
     signed value, descending); ``vectors`` holds the matching
     eigenvectors as columns, each flipped so its largest-magnitude
-    component is positive.
+    component is positive. ``sweeps`` counts the Jacobi sweeps that
+    rotated and ``rotations`` the pair rotations they made.
     """
 
     lambdas: np.ndarray
     vectors: np.ndarray
     source_n: int
+    sweeps: int
+    rotations: int
 
     def reconstruct(self) -> np.ndarray:
         """Sum of lambda_k V_k V_k', which recovers the source matrix."""
@@ -102,11 +107,14 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
     |a_pq| > ``tol`` sqrt|a_pp| sqrt|a_qq| (Demmel & Veselic, 1992),
     which keeps graded matrices to high relative accuracy. J is written
     in one scatter, and v is kept under a in one 2n x n array, so one
-    product [J'a; v] J updates both and a still rounds as (J'a) J. The
-    iteration ends after a sweep with no rotation.
+    product [J'a; v] J updates both and a still rounds as (J'a) J. Before
+    each sweep all pairs take the step test at once; if none would rotate,
+    the iteration ends, with no idle sweep. That is exact: only rotations
+    change the matrix, so a sweep's first rotating step sees it as the
+    sweep began.
 
     Raises NonConvergence if a sweep after the first ``max_sweeps``
-    still rotates, which signals pathological input; any finite
+    would still rotate, which signals pathological input; any finite
     symmetric matrix of this size converges in a handful of sweeps.
     """
     source = as_sym_matrix(matrix)
@@ -116,8 +124,15 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
     perm = np.argsort(-np.abs(source.array.diagonal()), kind="stable")
     eye = np.eye(n)
     av = np.vstack((source.array[perm][:, perm], eye[:, perm]))  # a over v
+    rotations = 0
     for sweep in itertools.count():
-        rotated = False
+        g = av.take(_all_pairs(n))  # every pair, as this sweep begins
+        root = np.sqrt(np.abs(g[1:]))
+        if not (np.abs(g[0]) > tol * root[0] * root[1]).any():
+            break
+        if sweep >= max_sweeps:
+            raise NonConvergence(f"off-diagonal entries above {tol:g} sqrt|a_pp a_qq| "
+                                 f"after {max_sweeps} sweeps")
         for gather, scatter in _wavefront(n):
             apq, app, aqq = g = av.take(gather)
             root = np.sqrt(np.abs(g[1:]))
@@ -125,10 +140,7 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
             count = np.count_nonzero(rot)
             if not count:
                 continue
-            if sweep >= max_sweeps:
-                raise NonConvergence(f"off-diagonal entries above {tol:g} sqrt|a_pp a_qq| "
-                                     f"after {max_sweeps} sweeps")
-            rotated = True
+            rotations += count
             if count < rot.size:
                 (apq, app, aqq), scatter = g[:, rot], scatter[:, rot]
             h = aqq - app
@@ -141,8 +153,6 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
             av[:n] = j.T @ av[:n]
             av = av @ j  # [J'a; v] J: a <- J'aJ and v <- vJ
             av.put(scatter[2:], 0.0)  # a_pq and a_qp, zero in exact arithmetic
-        if not rotated:
-            break
 
     diag = av.diagonal()  # of a, the top n rows
     order = np.lexsort((-diag, -np.abs(diag)))  # descending |lambda|, then lambda
@@ -150,7 +160,7 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
     vectors *= np.where(vectors[np.abs(vectors).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
     lambdas.setflags(write=False)
     vectors.setflags(write=False)
-    return EigenDecomposition(lambdas=lambdas, vectors=vectors, source_n=n)
+    return EigenDecomposition(lambdas, vectors, n, sweeps=sweep, rotations=rotations)
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,6 +185,15 @@ def _wavefront(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             pos.setflags(write=False)
         steps.append(step)
     return tuple(steps)
+
+
+@functools.lru_cache(maxsize=None)
+def _all_pairs(n: int) -> np.ndarray:
+    """Read-only gather rows (pq, pp, qq) of all pairs p < q, n x n."""
+    p, q = np.triu_indices(n, 1)
+    gather = np.array([p * n + q, p * (n + 1), q * (n + 1)])
+    gather.setflags(write=False)
+    return gather
 
 
 def spectral_inverse(eig: EigenDecomposition, cond_tol: float = DEFAULT_COND_TOL) -> SymMatrix:

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import stat
+import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
@@ -81,8 +82,9 @@ def load_model_document(path) -> dict:
     with open(path) as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:  # malformed, or an integer literal past int()'s digit limit
+            raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+                             if isinstance(exc, json.JSONDecodeError) else f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     unknown = [k for k in doc if k not in _MODEL_KEYS and not k.startswith("reference_")]
@@ -96,39 +98,41 @@ def load_model_document(path) -> dict:
         raise SchemaError(f"{path}: 'variables' must be a non-empty list of names")
     if len(set(doc["variables"])) != len(doc["variables"]):
         raise SchemaError(f"{path}: duplicate variable names")
-    for key in ("exponent", "intercept"):
-        if not isinstance(doc[key], (int, float)) or isinstance(doc[key], bool):
-            raise SchemaError(f"{path}: {key!r} must be a number")
-    if not math.isfinite(doc["intercept"]):
-        raise SchemaError(f"{path}: 'intercept' must be finite, got {doc['intercept']!r}")
+    _json_float(doc["exponent"], f"{path}: 'exponent'", finite=False)  # build_model names NaN, inf
+    _json_float(doc["intercept"], f"{path}: 'intercept'")
     if not isinstance(doc["terms"], list):
         raise SchemaError(f"{path}: 'terms' must be a list")
     return doc
 
 
-def model_from_document(doc: dict) -> QuadraticModel:
+def _json_float(value, where: str, finite: bool = True) -> float:
+    """A JSON number as a float. SchemaError names ``where`` for a bool, a
+    non-number, an integer past the float range and, if ``finite``, NaN or ±inf."""
+    if type(value) not in (int, float) or type(value) is int and abs(value) > sys.float_info.max:
+        raise SchemaError(f"{where} must be a number in the float range")
+    if finite and not math.isfinite(value):
+        raise SchemaError(f"{where} must be finite, got {value!r}")
+    return float(value)
+
+
+def load_model(path) -> QuadraticModel:
+    """Load a model JSON file (DuplicateTerm and friends propagate)."""
+    doc = load_model_document(path)
     names = tuple(doc["variables"])
     index = {name: k for k, name in enumerate(names)}
     terms = []
     for pos, entry in enumerate(doc["terms"]):
         if (not isinstance(entry, dict) or set(entry) != {"vars", "coef"}
                 or not isinstance(entry["vars"], list)):
-            raise SchemaError(f"term {pos}: expected {{'vars': [...], 'coef': number}}")
-        if not isinstance(entry["coef"], (int, float)) or isinstance(entry["coef"], bool):
-            raise SchemaError(f"term {pos}: 'coef' must be a number")
+            raise SchemaError(f"{path}: term {pos}: expected {{'vars': [...], 'coef': number}}")
         try:
             idx = [index[v] for v in entry["vars"]]
         except KeyError as exc:
-            raise SchemaError(f"term {pos}: unknown variable {exc.args[0]!r}") from exc
-        if not math.isfinite(entry["coef"]):
-            raise SchemaError(f"term {pos} ({':'.join(entry['vars'])}): 'coef' must be finite, "
-                              f"got {entry['coef']!r}")
-        if len(idx) == 1:
-            terms.append(ModelTerm.linear(idx[0], entry["coef"]))
-        elif len(idx) == 2:
-            terms.append(ModelTerm.quadratic(idx[0], idx[1], entry["coef"]))
-        else:
-            raise SchemaError(f"term {pos}: needs 1 or 2 variables, got {len(idx)}")
+            raise SchemaError(f"{path}: term {pos}: unknown variable {exc.args[0]!r}") from exc
+        coef = _json_float(entry["coef"], f"{path}: term {pos} ({':'.join(entry['vars'])}): 'coef'")
+        if len(idx) not in (1, 2):
+            raise SchemaError(f"{path}: term {pos}: needs 1 or 2 variables, got {len(idx)}")
+        terms.append(ModelTerm(tuple(sorted(idx)), coef))  # linear, or quadratic (i <= j)
     return build_model(
         terms,
         intercept=doc["intercept"],
@@ -136,11 +140,6 @@ def model_from_document(doc: dict) -> QuadraticModel:
         names=names,
         response_label=doc.get("response_label", "response"),
     )
-
-
-def load_model(path) -> QuadraticModel:
-    """Load a model JSON file (DuplicateTerm and friends propagate)."""
-    return model_from_document(load_model_document(path))
 
 
 def save_model(model: QuadraticModel, path, metadata: dict | None = None) -> None:

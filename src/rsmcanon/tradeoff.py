@@ -72,10 +72,12 @@ def iso_slopes(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
 def default_pairing(canon: CanonicalModel) -> list[tuple[int, int]]:
     """Opposite-sign canonical pairs whose eigenvectors touch exactly
     two original variables and give at least one positive branch, in
-    index order."""
+    index order. A pair touches every variable either axis does, so axes
+    with more than two active components are ruled out first, at once."""
+    few = (np.flatnonzero((np.abs(canon.axes) > ACTIVE_COMPONENT_TOL).sum(0) <= 2) + 1).tolist()
     out = []
-    for i in range(1, canon.n + 1):
-        for j in range(i + 1, canon.n + 1):
+    for pos, i in enumerate(few):
+        for j in few[pos + 1:]:
             if canon.lambdas[i - 1] * canon.lambdas[j - 1] >= 0.0:
                 continue
             active = _active_variables(canon, i, j)

@@ -1,5 +1,7 @@
 """File formats, report generation, and the command line."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rsmcanon as rc
 from rsmcanon.cli import main
@@ -22,6 +26,12 @@ M_IPCC = 1e-8
 EMISSIONS_HEADER = "year,country,liquid,gas,gas_flares,bunker,co2_ppmv"
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# integer literals past the largest float, of either sign, up to about
+# 4,000 digits (Python parses at most 4,300 by default)
+FLOAT_MAX = int(sys.float_info.max)
+huge_int = st.builds(lambda m, e, sign: sign * (FLOAT_MAX + 1 + m * 10 ** e),
+                     st.integers(0, 10 ** 6), st.integers(0, 3990), st.sampled_from([1, -1]))
 
 
 def assert_tree_close(got, want, path="$", floor=0.0):
@@ -119,6 +129,38 @@ class TestModelFiles:
         assert main(["analyze", str(path)]) == 2
         err = capsys.readouterr().err
         assert "SchemaError: " in err and named in err
+
+    @given(key=st.sampled_from(["exponent", "intercept", "coef"]),
+           value=st.one_of(huge_int, st.booleans(), st.none(), st.text(max_size=4),
+                           st.lists(st.integers(-3, 3), max_size=2)))
+    def test_non_number_names_key_or_term(self, tmp_path_factory, key, value):
+        path = tmp_path_factory.mktemp("numbers") / "model.json"
+        doc = {"variables": ["x", "y"], "exponent": 1.0, "intercept": 1.0,
+               "terms": [{"vars": ["x", "x"], "coef": -1.0}, {"vars": ["y", "y"], "coef": -1.0},
+                         {"vars": ["x", "y"], "coef": 0.5}]}
+        if key == "coef":
+            doc["terms"][2]["coef"] = value
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        named = {"coef": "term 2 (x:y): 'coef'"}.get(key, repr(key)) + " must be a number"
+        with pytest.raises(rc.SchemaError, match=re.escape(named)):
+            rc.load_model(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["analyze", str(path)]) == 2
+        assert err.getvalue() == f"rsmcanon: SchemaError: {path}: {named} in the float range\n"
+
+    def test_integer_past_parse_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"variables": ["x"], "exponent": 1.0, "intercept": %s, '
+                        '"terms": []}' % ("9" * (sys.get_int_max_str_digits() + 1)))
+        with pytest.raises(rc.ParseError, match="integer string conversion"):
+            rc.load_model(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["analyze", str(path)]) == 2
+        assert err.getvalue().startswith(f"rsmcanon: ParseError: {path}: ")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "extra.json"

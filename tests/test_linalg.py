@@ -248,6 +248,17 @@ class TestJacobiEigen:
         eig = jacobi_eigen(np.zeros((3, 3)))
         np.testing.assert_array_equal(eig.lambdas, np.zeros(3))
 
+    @pytest.mark.parametrize("matrix", [np.zeros((3, 3)), np.diag([3.0, -1.0, 1e-300, 0.0]),
+                                        np.eye(1)], ids=["zero", "diagonal", "1x1"])
+    def test_no_sweep_and_no_rotation_counted(self, matrix):
+        eig = jacobi_eigen(matrix, max_sweeps=0)
+        assert (eig.sweeps, eig.rotations) == (0, 0)
+
+    def test_sweeps_and_rotations_counted(self):
+        # one rotation annihilates the only off-diagonal pair of a 2 x 2
+        eig = jacobi_eigen([[1.0, 2.0], [2.0, -1.0]])
+        assert (eig.sweeps, eig.rotations) == (1, 1)
+
 
 class TestSpectralInverse:
     def test_diagonal(self):

@@ -17,10 +17,13 @@ to roundoff. Fits are checked against numpy lstsq: the
 coefficients, and every partial F against an explicit drop-one refit.
 The CSV text must equal a row-by-row ``repr`` rendering byte for byte,
 and the per-point functions must reject a non-finite entry before any
-arithmetic can warn.
+arithmetic can warn. The eigensolver and the default pairing must
+match, bit for bit, oracles kept here that skip neither the last idle
+Jacobi sweep nor any pair of axes.
 """
 
 import io
+import itertools
 import warnings
 
 import numpy as np
@@ -31,6 +34,8 @@ from hypothesis.extra.numpy import arrays
 
 import rsmcanon as rc
 import rsmcanon.fitting as fitting
+import rsmcanon.linalg as linalg
+import rsmcanon.tradeoff as tradeoff
 from rsmcanon.regions import _sample
 
 LAMBDA_SCALE = 1e-16
@@ -293,3 +298,155 @@ def test_one_eigendecomposition_per_fit(case):
         mp.setattr(fitting, "jacobi_eigen", counting)
         rc.ols_fit(d, terms, 1.0)
     assert len(calls) == 1
+
+
+def jacobi_oracle(matrix, max_sweeps=linalg.JACOBI_MAX_SWEEPS, tol=linalg.JACOBI_TOL):
+    """``jacobi_eigen`` without the sweep-start test: every sweep runs its
+    steps, and the iteration ends after one that rotates nothing.
+    Returns (lambdas, vectors, sweeps that rotated, rotations)."""
+    a = rc.SymMatrix(matrix).array
+    n = a.shape[0]
+    perm = np.argsort(-np.abs(a.diagonal()), kind="stable")
+    eye = np.eye(n)
+    av = np.vstack((a[perm][:, perm], eye[:, perm]))
+    rotations = 0
+    for sweep in itertools.count():
+        rotated = False
+        for gather, scatter in linalg._wavefront(n):
+            apq, app, aqq = g = av.take(gather)
+            root = np.sqrt(np.abs(g[1:]))
+            rot = np.abs(apq) > tol * root[0] * root[1]
+            count = np.count_nonzero(rot)
+            if not count:
+                continue
+            if sweep >= max_sweeps:
+                raise rc.NonConvergence("oracle: a sweep past max_sweeps rotates")
+            rotated = True
+            rotations += count
+            if count < rot.size:
+                (apq, app, aqq), scatter = g[:, rot], scatter[:, rot]
+            h = aqq - app
+            t = np.copysign(2.0, h) * apq / (np.abs(h) + np.hypot(h, 2.0 * apq))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            j = eye.copy()
+            j.put(scatter, np.concatenate((c, c, s, -s)))
+            av[:n] = j.T @ av[:n]
+            av = av @ j
+            av.put(scatter[2:], 0.0)
+        if not rotated:
+            break
+    diag = av.diagonal()
+    order = np.lexsort((-diag, -np.abs(diag)))
+    lambdas, vectors = diag[order], np.ascontiguousarray(av[n:, order])
+    vectors *= np.where(vectors[np.abs(vectors).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
+    return lambdas, vectors, sweep, rotations
+
+
+@st.composite
+def jacobi_input(draw):
+    """A graded D A D (n = 1..12), a signed diagonal, or either with zeroed
+    rows and columns."""
+    n = draw(st.integers(1, 12))
+    d = 10.0 ** draw(arrays(float, (n,), elements=st.floats(-6.0, 6.0)))
+    if draw(st.booleans()):
+        a = draw(arrays(float, (n, n), elements=unit))
+        m = d[:, None] * (a + a.T) * d
+    else:
+        m = np.diag(d * draw(arrays(float, (n,), elements=st.sampled_from([1.0, -1.0]))))
+    zero = draw(arrays(bool, (n,)))
+    m[zero] = m[:, zero] = 0.0
+    return m
+
+
+@st.composite
+def threshold_edge(draw):
+    """A signed diagonal with one off-diagonal pair at, or one ulp either
+    side of, the rotation threshold tol sqrt|a_pp| sqrt|a_qq|."""
+    n = draw(st.integers(2, 6))
+    d = draw(arrays(float, (n,), elements=st.floats(1e-8, 1e8)))
+    m = np.diag(d * draw(arrays(float, (n,), elements=st.sampled_from([1.0, -1.0]))))
+    p, q = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    edge = linalg.JACOBI_TOL * np.sqrt(abs(m[p, p])) * np.sqrt(abs(m[q, q]))
+    m[p, q] = m[q, p] = draw(st.sampled_from([np.nextafter(edge, 0.0), edge,
+                                              np.nextafter(edge, np.inf)]))
+    return m
+
+
+def assert_matches_oracle(m, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
+    try:
+        want = jacobi_oracle(m, max_sweeps)
+    except rc.NonConvergence:
+        with pytest.raises(rc.NonConvergence):
+            rc.jacobi_eigen(m, max_sweeps=max_sweeps)
+        return
+    eig = rc.jacobi_eigen(m, max_sweeps=max_sweeps)
+    assert eig.lambdas.tobytes() == want[0].tobytes()
+    assert eig.vectors.tobytes() == want[1].tobytes()
+    assert (eig.sweeps, eig.rotations) == want[2:]
+
+
+@given(jacobi_input())
+def test_jacobi_bit_identical_to_oracle(m):
+    assert_matches_oracle(m)
+
+
+@given(jacobi_input(), st.integers(0, 3))
+def test_jacobi_raises_with_oracle_under_a_sweep_limit(m, max_sweeps):
+    assert_matches_oracle(m, max_sweeps)
+
+
+@given(threshold_edge())
+def test_jacobi_stops_with_oracle_at_the_threshold(m):
+    assert_matches_oracle(m)
+
+
+def pairing_oracle(canon):
+    """``default_pairing`` without the per-axis prefilter: every pair of
+    opposite-sign axes is tested."""
+    out = []
+    for i in range(1, canon.n + 1):
+        for j in range(i + 1, canon.n + 1):
+            if canon.lambdas[i - 1] * canon.lambdas[j - 1] >= 0.0:
+                continue
+            active = tradeoff._active_variables(canon, i, j)
+            if len(active) == 2 and tradeoff._positive_branches(canon, i, j, active):
+                out.append((i, j))
+    return out
+
+
+@st.composite
+def block_canon(draw):
+    """A canonical model whose eigenvectors are a permuted mix of 2 x 2
+    rotation blocks and identity columns, so axes touch one or two
+    variables; eigenvalues of mixed sign over three decades."""
+    n = draw(st.integers(2, 8))
+    q = np.zeros((n, n))
+    k = 0
+    while k < n:
+        if k + 1 < n and draw(st.booleans()):
+            theta = draw(st.floats(0.05, 1.5))
+            q[k:k + 2, k:k + 2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+            k += 2
+        else:
+            q[k, k] = 1.0
+            k += 1
+    q = q[draw(st.permutations(range(n)))]
+    lam = (draw(arrays(float, (n,), elements=st.sampled_from([1.0, -1.0])))
+           * 10.0 ** draw(arrays(float, (n,), elements=st.floats(-3.0, 0.0))))
+    b = (q * lam) @ q.T
+    center = draw(arrays(float, (n,), elements=unit))
+    model = rc.QuadraticModel(tuple(f"x{k}" for k in range(1, n + 1)), 1.0,
+                              -2.0 * b @ center, rc.SymMatrix(b), 1.0)
+    return rc.canonicalize(model)
+
+
+@given(block_canon())
+def test_pairing_equals_oracle_on_block_axes(canon):
+    assert tradeoff.default_pairing(canon) == pairing_oracle(canon)
+
+
+@given(graded_canon())
+def test_pairing_equals_oracle_on_dense_axes(case):
+    canon = case[0]
+    assert tradeoff.default_pairing(canon) == pairing_oracle(canon)
