@@ -26,7 +26,8 @@ for i in range(1, 5):
 print()
 
 # --- Elliptical pair (z1, z3), quoted about the published center ----
-ellipse = rc.ellipse_region(canon, 1, 3, M, center=WORKED_CENTER)
+frame = rc.with_center(canon, WORKED_CENTER)
+ellipse = rc.ellipse_region(frame, 1, 3, M)
 a1, a3 = ellipse.semiaxes
 print(f"Ellipse for (z1, z3) at M = {M:g}:")
 print(f"  z1 = {a1:.2f} r cos(t),  z3 = {a3:.2f} r sin(t),  r <= 1")
@@ -41,14 +42,13 @@ for name, center, half in rc.max_intervals(ellipse):
 
 # The box is strictly looser than the ellipse: its corner passes every
 # interval but fails the joint membership test.
-frame = rc.with_center(canon, WORKED_CENTER)
 corner = np.array([c - half for (_, c, half) in rc.max_intervals(ellipse)])
 print(f"  box corner {np.round(corner, 2)} inside the ellipse? "
       f"{rc.contains(frame, corner, M)}")
 print()
 
 # --- Hyperbolic pair (z2, z3): a band, not a bounded region ---------
-band = rc.hyperbola_region(canon, 2, 3, M, center=WORKED_CENTER)
+band = rc.hyperbola_region(frame, 2, 3, M)
 pos, neg = band.pair
 print(f"Hyperbolic band for (z{pos}, z{neg}) at M = {M:g} "
       f"(unbounded: {band.unbounded}):")

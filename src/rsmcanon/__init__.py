@@ -57,7 +57,6 @@ from .linalg import (
     SymMatrix,
     jacobi_eigen,
     solve,
-    spectral_inverse,
 )
 from .model import (
     ModelTerm,
@@ -103,8 +102,7 @@ from .tradeoff import (
 __all__ = [
     "__version__",
     # linalg
-    "SymMatrix", "EigenDecomposition", "jacobi_eigen", "spectral_inverse",
-    "solve", "DEFAULT_COND_TOL",
+    "SymMatrix", "EigenDecomposition", "jacobi_eigen", "solve", "DEFAULT_COND_TOL",
     # model
     "ModelTerm", "QuadraticModel", "build_model", "evaluate_matrix",
     "evaluate_terms", "gradient", "predict_response",

@@ -10,10 +10,10 @@ The eigenvalue signs classify the stationary point (maximum, minimum,
 saddle, or degenerate). Canonical axes are numbered from 1 to match
 the usual z_1 .. z_n labelling.
 
-One rule, ``degenerate_axes``, marks axis k degenerate when |lambda_k|
-<= ZERO_TOL_FACTOR * max|lambda|: the surface is a ridge there and the
-stationary point undefined. ``canonicalize`` rejects such a model and
-``check_pair`` refuses such a region or trade pair, by the same rule.
+One rule, ``degenerate_axes`` (``linalg.small_axes`` at ZERO_TOL_FACTOR,
+1-based), marks axis k degenerate when |lambda_k| <= ZERO_TOL_FACTOR *
+max|lambda|: the surface is a ridge there and the stationary point
+undefined. ``canonicalize``, ``classify`` and ``check_pair`` apply it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneratePair, DimensionMismatch, IndexOutOfRange, SingularMatrix
-from .linalg import jacobi_eigen, solve
+from .linalg import jacobi_eigen, small_axes, solve
 from .model import QuadraticModel
 
 # Eigenvalues within this factor of max|lambda| count as zero.
@@ -49,20 +49,17 @@ MINIMUM = StationaryKind("minimum")
 SADDLE = StationaryKind("saddle")
 
 
-def degenerate_axes(lambdas, zero_tol: float | None = None) -> tuple[int, ...]:
-    """1-based axes with |lambda| <= ``zero_tol``, by default
+def degenerate_axes(lambdas) -> tuple[int, ...]:
+    """1-based ``small_axes`` at ZERO_TOL_FACTOR: the axes with |lambda| <=
     ZERO_TOL_FACTOR * max|lambda| (all axes of a zero spectrum)."""
-    mags = np.abs(np.asarray(lambdas, dtype=float))
-    if zero_tol is None:
-        zero_tol = ZERO_TOL_FACTOR * float(mags.max(initial=0.0))
-    return tuple(int(k) + 1 for k in np.flatnonzero(mags <= zero_tol))
+    return tuple((small_axes(lambdas, ZERO_TOL_FACTOR) + 1).tolist())
 
 
-def classify(lambdas, zero_tol: float | None = None) -> StationaryKind:
+def classify(lambdas) -> StationaryKind:
     """Classify by signs: all negative -> maximum, all positive ->
     minimum, any degenerate axis -> degenerate, mixed -> saddle."""
     lam = np.asarray(lambdas, dtype=float)
-    bad = degenerate_axes(lam, zero_tol)
+    bad = degenerate_axes(lam)
     if bad:
         return StationaryKind("degenerate", bad)
     if (lam < 0).all():

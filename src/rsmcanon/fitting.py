@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, RankDeficient, TooFewRows
-from .linalg import DEFAULT_COND_TOL, SymMatrix, jacobi_eigen
+from .linalg import DEFAULT_COND_TOL, SymMatrix, jacobi_eigen, small_axes
 from .model import ModelTerm, QuadraticModel, build_model, reciprocal_exponent
 
 
@@ -117,10 +117,10 @@ def _design_matrix(d: Dataset, term_indices) -> np.ndarray:
 
 def _normal_solve(design: np.ndarray, yt: np.ndarray,
                   labels) -> tuple[np.ndarray, float, np.ndarray]:
-    """Least squares via the normal equations, with an eigen rank check.
+    """Least squares via the normal equations, rank-checked by ``small_axes``.
 
     Columns are equilibrated to unit norm before forming the normal
-    matrix so the condition check measures collinearity rather than
+    matrix so the rank check measures collinearity rather than
     units (emissions columns span many orders of magnitude). The
     scaling is undone exactly on the way out; it is not regularization.
     Returns the coefficients, the SSE, and per column the SSE increase
@@ -131,18 +131,13 @@ def _normal_solve(design: np.ndarray, yt: np.ndarray,
     safe = np.where(norms > 0.0, norms, 1.0)  # a zero column stays rank deficient
     scaled = design / safe
     eig = jacobi_eigen(SymMatrix(scaled.T @ scaled))
-    if eig.condition() < DEFAULT_COND_TOL:
-        mags = np.abs(eig.lambdas)
-        floor = DEFAULT_COND_TOL * float(mags.max())
-        blamed: list[str] = []
-        for k in range(eig.source_n):
-            if mags[k] > floor:
-                continue
-            null = eig.vectors[:, k]
-            for c in np.flatnonzero(np.abs(null) > 0.3):
-                if labels[c] not in blamed:
-                    blamed.append(labels[c])
-        raise RankDeficient(f"design matrix is rank deficient; collinear columns: {blamed}")
+    small = small_axes(eig.lambdas, DEFAULT_COND_TOL)
+    if small.size:
+        # a column is blamed when it loads above 0.3 on a null direction
+        blamed = [labels[c] for k in small
+                  for c in np.flatnonzero(np.abs(eig.vectors[:, k]) > 0.3)]
+        raise RankDeficient("design matrix is rank deficient; collinear columns: "
+                            f"{list(dict.fromkeys(blamed))}")
     scaled_coef = eig.vectors @ ((eig.vectors.T @ (scaled.T @ yt)) / eig.lambdas)
     inv_diag = (eig.vectors * eig.vectors) @ (1.0 / eig.lambdas)
     coef = scaled_coef / safe

@@ -9,9 +9,12 @@ when a test of all pairs before a sweep finds none to rotate (exact, as
 only rotations change the matrix). Order and sign convention are fixed:
 identical inputs give bit-identical output on one platform with
 a fixed BLAS thread count, and across thread counts up to n = 64.
-Spectral inversion and linear solves are built on the same
-decomposition. Everything here is scale-free; physical units live in
-the model layer.
+Everything here is scale-free; physical units live in the model layer.
+
+One rule says when an eigenvalue counts as zero: ``small_axes`` marks
+axis k when |lambda_k| <= factor * max|lambda|. ``solve`` and the fit
+apply it at DEFAULT_COND_TOL, ``canonical.degenerate_axes`` at its own
+factor; no other code compares an eigenvalue with a tolerance.
 
 Sized for the interaction matrices of second-order response models
 (n up to a few dozen). Not intended for large or non-symmetric
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence, SingularMatrix
 
-# Relative condition floor below which a matrix is treated as singular.
+# An eigenvalue within this factor of max|lambda| makes a matrix singular.
 DEFAULT_COND_TOL = 1e-12
 
 # A Jacobi rotation of (p, q) is skipped once |a_pq| <= JACOBI_TOL
@@ -82,19 +85,12 @@ class EigenDecomposition:
 
     lambdas: np.ndarray
     vectors: np.ndarray
-    source_n: int
     sweeps: int
     rotations: int
 
     def reconstruct(self) -> np.ndarray:
         """Sum of lambda_k V_k V_k', which recovers the source matrix."""
         return (self.vectors * self.lambdas) @ self.vectors.T
-
-    def condition(self) -> float:
-        """min|lambda| / max|lambda|; zero for the zero matrix."""
-        mags = np.abs(self.lambdas)
-        top = float(mags.max())
-        return float(mags.min() / top) if top > 0.0 else 0.0
 
 
 def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JACOBI_TOL) -> EigenDecomposition:
@@ -160,7 +156,7 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
     vectors *= np.where(vectors[np.abs(vectors).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
     lambdas.setflags(write=False)
     vectors.setflags(write=False)
-    return EigenDecomposition(lambdas, vectors, n, sweeps=sweep, rotations=rotations)
+    return EigenDecomposition(lambdas, vectors, sweeps=sweep, rotations=rotations)
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,34 +192,25 @@ def _all_pairs(n: int) -> np.ndarray:
     return gather
 
 
-def spectral_inverse(eig: EigenDecomposition, cond_tol: float = DEFAULT_COND_TOL) -> SymMatrix:
-    """Inverse via the spectral sum of lambda_k^-1 V_k V_k'.
-
-    Raises SingularMatrix when min|lambda|/max|lambda| falls below
-    ``cond_tol``; a degenerate quadratic part has no canonical shift.
-    """
-    _require_invertible(eig, cond_tol)
-    inv = (eig.vectors / eig.lambdas) @ eig.vectors.T
-    return SymMatrix(inv)
+def small_axes(lambdas, factor: float) -> np.ndarray:
+    """0-based indices k with |lambda_k| <= ``factor`` * max|lambda|, every
+    k of a zero spectrum: the eigenvalues that count as zero."""
+    mags = np.abs(np.asarray(lambdas, dtype=float))
+    return np.flatnonzero(mags <= factor * float(mags.max(initial=0.0)))
 
 
-def solve(matrix, rhs, cond_tol: float = DEFAULT_COND_TOL) -> np.ndarray:
-    """Solve S x = b for symmetric S without forming an explicit inverse."""
+def solve(matrix, rhs) -> np.ndarray:
+    """Solve S x = b for symmetric S without forming an explicit inverse;
+    SingularMatrix names the ``small_axes`` of S at DEFAULT_COND_TOL, 1-based."""
     source = as_sym_matrix(matrix)
     b = np.asarray(rhs, dtype=float)
     if b.shape != (source.n,):
         raise DimensionMismatch(f"right-hand side has shape {b.shape}, expected ({source.n},)")
     eig = jacobi_eigen(source)
-    _require_invertible(eig, cond_tol)
-    return eig.vectors @ ((eig.vectors.T @ b) / eig.lambdas)
-
-
-def _require_invertible(eig: EigenDecomposition, cond_tol: float) -> None:
-    if eig.condition() < cond_tol:
-        mags = np.abs(eig.lambdas)
-        floor = cond_tol * float(mags.max())
-        small = [k + 1 for k in range(eig.source_n) if mags[k] <= floor]
+    small = small_axes(eig.lambdas, DEFAULT_COND_TOL)
+    if small.size:
         raise SingularMatrix(
-            f"eigenvalues {small} are below the condition tolerance "
-            f"{cond_tol:g} relative to max|lambda|; matrix treated as singular"
+            f"eigenvalues {(small + 1).tolist()} are below the condition tolerance "
+            f"{DEFAULT_COND_TOL:g} relative to max|lambda|; matrix treated as singular"
         )
+    return eig.vectors @ ((eig.vectors.T @ b) / eig.lambdas)

@@ -123,8 +123,9 @@ def load_model(path) -> QuadraticModel:
     terms = []
     for pos, entry in enumerate(doc["terms"]):
         if (not isinstance(entry, dict) or set(entry) != {"vars", "coef"}
-                or not isinstance(entry["vars"], list)):
-            raise SchemaError(f"{path}: term {pos}: expected {{'vars': [...], 'coef': number}}")
+                or not isinstance(entry["vars"], list)
+                or not all(isinstance(v, str) for v in entry["vars"])):
+            raise SchemaError(f"{path}: term {pos}: expected {{'vars': [names], 'coef': number}}")
         try:
             idx = [index[v] for v in entry["vars"]]
         except KeyError as exc:
@@ -290,9 +291,8 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
     return table, summary
 
 
-def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFAULT_T_MAX,
-                  path=None) -> str:
-    """Render region boundary samples as CSV text, optionally to a file.
+def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFAULT_T_MAX) -> str:
+    """Render region boundary samples as CSV text.
 
     Columns: ``param,r,z_<i>,z_<j>,<variable names...>``. Ellipses emit
     ``count`` rows tracing a closed curve (the last row equals the first
@@ -313,7 +313,4 @@ def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFA
     if region.unbounded:
         z1, z2 = ([s[1:] if s[0] == "-" else "-" + s for s in col] for col in (z1, z2))
         lines += [f"{p},-1.0,{a},{b},{row}" for p, a, b, row in zip(ts, z1, z2, xs[count:])]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        atomic_write(path, text)
-    return text
+    return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalModel, check_pair, to_canonical, with_center
+from .canonical import CanonicalModel, check_pair, to_canonical
 from .errors import InputError, NonPositiveBound, WrongKind
 
 # Slack applied to the membership test so exact boundary points
@@ -94,43 +94,39 @@ def region(canon: CanonicalModel, i: int, j: int, bound: float) -> RegionParamet
     return build(canon, i, j, bound)
 
 
-def ellipse_region(canon: CanonicalModel, i: int, j: int, bound: float,
-                   center=None) -> RegionParametrization:
+def ellipse_region(canon: CanonicalModel, i: int, j: int, bound: float) -> RegionParametrization:
     """Elliptical region z_i = a_i r cos(t), z_j = a_j r sin(t), r <= 1.
 
-    Semiaxes are sqrt(M/|lambda|). ``center`` overrides the canonical
-    center for the affine table (the shape itself is translation
-    invariant), as ``with_center`` would.
+    Semiaxes are sqrt(M/|lambda|). The affine table is centered at
+    ``canon.center``; ``with_center`` moves it (the shape itself is
+    translation invariant).
     """
     kind = region_kind(canon, i, j)
     if not kind.is_elliptical:
         raise WrongKind(f"pair ({i}, {j}) has mixed eigenvalue signs; use hyperbola_region")
-    return _build(canon, (i, j), kind, bound, center)
+    return _build(canon, (i, j), kind, bound)
 
 
-def hyperbola_region(canon: CanonicalModel, i: int, j: int, bound: float,
-                     center=None) -> RegionParametrization:
+def hyperbola_region(canon: CanonicalModel, i: int, j: int, bound: float) -> RegionParametrization:
     """Hyperbolic band z_pos = a r cosh(t), z_neg = b r sinh(t), |r| <= 1.
 
     The positive-eigenvalue axis carries cosh and the negative one
     sinh; the pair is reordered internally if needed. The band is
     unbounded, so it bounds the response fluctuation without enclosing
-    a finite region. ``center`` acts as in ``ellipse_region``.
+    a finite region.
     """
     kind = region_kind(canon, i, j)
     if kind.is_elliptical:
         raise WrongKind(f"pair ({i}, {j}) has same-sign eigenvalues; use ellipse_region")
     pair = (i, j) if canon.lambdas[i - 1] > 0.0 else (j, i)
-    return _build(canon, pair, kind, bound, center)
+    return _build(canon, pair, kind, bound)
 
 
-def _build(canon: CanonicalModel, pair: tuple[int, int], kind: RegionKind, bound: float,
-           center) -> RegionParametrization:
+def _build(canon: CanonicalModel, pair: tuple[int, int], kind: RegionKind,
+           bound: float) -> RegionParametrization:
     """Region for ``pair`` in basis order; semiaxes are sqrt(M/|lambda|)."""
     if not bound > 0.0:
         raise NonPositiveBound(f"bound must be positive, got {bound!r}")
-    if center is not None:
-        canon = with_center(canon, center)
     i, j = pair
     a_i = float(np.sqrt(bound / abs(canon.lambdas[i - 1])))
     a_j = float(np.sqrt(bound / abs(canon.lambdas[j - 1])))

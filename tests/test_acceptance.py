@@ -92,7 +92,7 @@ def test_criterion_3_ellipse_semiaxes(eu_model, eu_canon):
 
 
 def test_criterion_4_ellipse_coefficients(eu_canon):
-    region = ellipse_region(eu_canon, 1, 3, M_IPCC, center=EU_WORKED_CENTER)
+    region = ellipse_region(rc.with_center(eu_canon, EU_WORKED_CENTER), 1, 3, M_IPCC)
     rows = dict(zip(region.names, region.affine))
     observed = {
         "Li": abs(rows["Li"][2]), "Fl": abs(rows["Fl"][2]),

@@ -144,8 +144,8 @@ class TestClassify:
         assert kind.label == "degenerate"
         assert kind.degenerate_axes == (2,)
 
-    def test_explicit_tolerance(self):
-        assert classify([1.0, 1e-15], zero_tol=1e-16).label == "minimum"
+    def test_just_above_cutoff_is_not_degenerate(self):
+        assert classify([1.0, 1.1e-9]).label == "minimum"
 
     def test_cutoff_is_relative_to_largest_magnitude(self):
         assert degenerate_axes([-2.0, 2e-9, 4.1e-9]) == (2,)

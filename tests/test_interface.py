@@ -1,6 +1,7 @@
 """File formats, report generation, and the command line."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -178,6 +179,26 @@ class TestModelFiles:
         with pytest.raises(rc.SchemaError):
             rc.load_model(path)
 
+    @given(bad=st.one_of(st.lists(st.text(max_size=2), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+                         st.integers(), st.floats(allow_nan=False), st.none(), st.booleans()),
+           at=st.integers(0, 1), pos=st.integers(0, 2))
+    def test_non_string_variable_names_term(self, tmp_path_factory, bad, at, pos):
+        path = tmp_path_factory.mktemp("vars") / "model.json"
+        terms = [{"vars": ["x", "x"], "coef": -1.0}, {"vars": ["y", "y"], "coef": -1.0},
+                 {"vars": ["x", "y"], "coef": 0.5}]
+        terms[pos]["vars"][at] = bad
+        path.write_text(json.dumps({"variables": ["x", "y"], "exponent": 1.0,
+                                    "intercept": 1.0, "terms": terms}))
+        named = f"term {pos}: expected {{'vars': [names]"
+        with pytest.raises(rc.SchemaError, match=re.escape(named)):
+            rc.load_model(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["analyze", str(path)]) == 2
+        assert err.getvalue().startswith(f"rsmcanon: SchemaError: {path}: {named}")
+        assert err.getvalue().count("\n") == 1
+
 
 def write_emissions(path, rows, header=EMISSIONS_HEADER):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
@@ -354,6 +375,14 @@ class TestEmissions:
         np.testing.assert_array_equal(ta.values, tb.values)
 
 
+def test_all_lists_exactly_the_public_names():
+    public = {name for name, value in vars(rc).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert all(hasattr(rc, name) for name in rc.__all__)
+    assert len(set(rc.__all__)) == len(rc.__all__)
+    assert set(rc.__all__) == public | {"__version__"}
+
+
 class TestReport:
     def test_deterministic_bytes(self, eu_model):
         first = rc.run_analysis(eu_model, center=EU_WORKED_CENTER)
@@ -397,11 +426,9 @@ class TestReport:
 
 
 class TestPlotCsv:
-    def test_ellipse_closed_curve(self, eu_canon, tmp_path):
+    def test_ellipse_closed_curve(self, eu_canon):
         region = rc.ellipse_region(eu_canon, 1, 3, M_IPCC)
-        path = tmp_path / "ellipse.csv"
-        rc.emit_plot_csv(region, 360, path=path)
-        lines = path.read_text().splitlines()
+        lines = rc.emit_plot_csv(region, 360).splitlines()
         assert lines[0].split(",")[:4] == ["param", "r", "z_1", "z_3"]
         assert len(lines) == 361  # header + 360 samples
         first = np.array([float(v) for v in lines[1].split(",")[2:]])
@@ -603,12 +630,12 @@ class TestCli:
         assert main(["regions", model_path, "--pair", "2,3", "--t-max", "nan"]) == 2
         assert "InputError" in capsys.readouterr().err
 
-    def test_output_files_get_umask_mode(self, eu_model, eu_canon, model_path, tmp_path):
+    def test_output_files_get_umask_mode(self, eu_model, model_path, tmp_path):
         old = os.umask(0o022)
         try:
             rc.save_model(eu_model, tmp_path / "m.json")
-            rc.emit_plot_csv(rc.ellipse_region(eu_canon, 1, 3, M_IPCC), 10,
-                             path=tmp_path / "r.csv")
+            main(["regions", model_path, "--pair", "1,3", "--samples", "10",
+                  "-o", str(tmp_path / "r.csv")])
             main(["tradeoff", model_path, "-o", str(tmp_path / "t.txt")])
         finally:
             os.umask(old)

@@ -1,11 +1,17 @@
-"""Eigensolver, spectral inverse, and solve.
+"""Eigensolver, the zero-eigenvalue rule, and solve.
 
 Ground truth comes from numpy.linalg (kept out of the package itself),
 from 50-digit mpmath for graded matrices, and from small closed-form
 oracles: trace, cofactor determinants, and multiply-back residuals.
+``small_axes`` is the one rule for an eigenvalue that counts as zero,
+|lambda| <= factor * max|lambda|; the tests pin its boundary, where an
+eigenvalue of exactly factor * max|lambda| counts and one ulp more does
+not, for ``solve`` at DEFAULT_COND_TOL and ``degenerate_axes`` at
+ZERO_TOL_FACTOR.
 """
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,11 +26,12 @@ from rsmcanon import (
     NonConvergence,
     SingularMatrix,
     SymMatrix,
+    degenerate_axes,
     jacobi_eigen,
     solve,
-    spectral_inverse,
 )
-from rsmcanon.linalg import _wavefront
+from rsmcanon.canonical import ZERO_TOL_FACTOR
+from rsmcanon.linalg import DEFAULT_COND_TOL, _wavefront, small_axes
 
 from eu_reference import EU_B, EU_LAMBDAS_REF, EU_AXES_REF, match_axes_up_to_sign
 
@@ -260,25 +267,35 @@ class TestJacobiEigen:
         assert (eig.sweeps, eig.rotations) == (1, 1)
 
 
-class TestSpectralInverse:
-    def test_diagonal(self):
-        inv = spectral_inverse(jacobi_eigen(np.diag([2.0, 4.0])))
-        np.testing.assert_allclose(inv.array, np.diag([0.5, 0.25]), atol=1e-14)
+def at_cutoff(top, factor):
+    """A diagonal spectrum whose last eigenvalue is exactly factor * |top|."""
+    return [top, -2.0 * top, factor * abs(2.0 * top)]
 
-    def test_eu_matrix_multiply_back(self):
-        inv = spectral_inverse(jacobi_eigen(EU_B))
-        residual = np.linalg.norm(inv.array @ EU_B - np.eye(4))
-        assert residual <= 1e-9
 
-    def test_zero_eigenvalue_rejected(self):
-        with pytest.raises(SingularMatrix):
-            spectral_inverse(jacobi_eigen(np.diag([1.0, 0.0])))
+class TestSmallAxes:
+    @pytest.mark.parametrize("top", [1.0, -3.0, 7e-16, 2.5e300])
+    def test_cutoff_counts_and_one_ulp_above_does_not(self, top):
+        for factor in (DEFAULT_COND_TOL, ZERO_TOL_FACTOR):
+            lam = at_cutoff(top, factor)
+            assert small_axes(lam, factor).tolist() == [2]
+            lam[2] = np.nextafter(lam[2], np.inf)
+            assert small_axes(lam, factor).tolist() == []
 
-    def test_condition_tolerance(self):
-        eig = jacobi_eigen(np.diag([1.0, 1e-13]))
-        with pytest.raises(SingularMatrix):
-            spectral_inverse(eig)  # below the 1e-12 default
-        spectral_inverse(eig, cond_tol=1e-14)
+    @pytest.mark.parametrize("top", [1.0, -3.0, 7e-16])
+    def test_solve_rejects_at_cutoff_and_accepts_one_ulp_above(self, top):
+        lam = at_cutoff(top, DEFAULT_COND_TOL)
+        with pytest.raises(SingularMatrix, match=re.escape("eigenvalues [3] are below")):
+            solve(np.diag(lam), [1.0, 1.0, 1.0])
+        lam[2] = np.nextafter(lam[2], np.inf)
+        x = solve(np.diag(lam), [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(x * lam, 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("top", [1.0, -3.0, 7e-16])
+    def test_degenerate_axes_at_cutoff_and_one_ulp_above(self, top):
+        lam = at_cutoff(top, ZERO_TOL_FACTOR)
+        assert degenerate_axes(lam) == (3,)
+        lam[2] = np.nextafter(lam[2], np.inf)
+        assert degenerate_axes(lam) == ()
 
 
 class TestSolve:
@@ -306,6 +323,16 @@ class TestSolve:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             solve(np.zeros((2, 2)), [1.0, 0.0])
+
+    def test_zero_eigenvalue_rejected(self):
+        with pytest.raises(SingularMatrix, match=re.escape("eigenvalues [2] are below")):
+            solve(np.diag([1.0, 0.0]), [1.0, 1.0])
+
+    def test_condition_tolerance(self):
+        with pytest.raises(SingularMatrix):
+            solve(np.diag([1.0, 1e-13]), [1.0, 1.0])  # below the 1e-12 factor
+        np.testing.assert_allclose(solve(np.diag([1.0, 1e-11]), [1.0, 1.0]), [1.0, 1e11],
+                                   rtol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -19,7 +19,10 @@ The CSV text must equal a row-by-row ``repr`` rendering byte for byte,
 and the per-point functions must reject a non-finite entry before any
 arithmetic can warn. The eigensolver and the default pairing must
 match, bit for bit, oracles kept here that skip neither the last idle
-Jacobi sweep nor any pair of axes.
+Jacobi sweep nor any pair of axes. On spectra graded across the 1e-12
+and 1e-9 cutoffs, with eigenvalues on them and an ulp to either side,
+``solve`` raises exactly when ``small_axes`` finds an axis and names
+those axes, and ``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based.
 """
 
 import io
@@ -233,6 +236,53 @@ def test_ridge_model_rejected_at_canonical_stage():
                               rc.SymMatrix(np.diag([-2.0, -1e-10])), 1.0)
     with pytest.raises(rc.SingularMatrix, match=r"^\[canonical\] .*axes \[2\]"):
         rc.run_analysis(model)
+
+
+FACTORS = (linalg.DEFAULT_COND_TOL, rc.canonical.ZERO_TOL_FACTOR)
+
+
+@st.composite
+def graded_spectrum(draw):
+    """(S, lambdas): a spectrum graded over 16 decades below |lambda_1|,
+    with some eigenvalues on a cutoff factor * |lambda_1| or an ulp to
+    either side. S is diagonal, so ``jacobi_eigen`` keeps those bits, or
+    the spectrum rotated by a random orthogonal Q."""
+    n = draw(st.integers(1, 6))
+    top = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-20.0, 20.0))
+    lam = [top]
+    for _ in range(n - 1):
+        factor = draw(st.sampled_from((None,) + FACTORS))
+        if factor is None:
+            mag = abs(top) * 10.0 ** -draw(st.floats(0.0, 16.0))
+        else:
+            cut = factor * abs(top)
+            mag = np.nextafter(cut, draw(st.sampled_from([0.0, cut, np.inf])))
+        lam.append(draw(st.sampled_from([1.0, -1.0])) * mag)
+    lam = np.array(draw(st.permutations(lam)))
+    if draw(st.booleans()):
+        return np.diag(lam), lam
+    q, _ = np.linalg.qr(draw(arrays(float, (n, n), elements=st.floats(0.1, 1.0))))
+    return (q * lam) @ q.T, lam
+
+
+def small_oracle(lam, factor):
+    top = max(abs(float(x)) for x in lam)
+    return [k for k, x in enumerate(lam) if abs(float(x)) <= factor * top]
+
+
+@given(graded_spectrum())
+def test_one_zero_rule_for_solve_and_degenerate_axes(case):
+    s, lam = case
+    for factor in FACTORS:
+        assert linalg.small_axes(lam, factor).tolist() == small_oracle(lam, factor)
+    assert rc.degenerate_axes(lam) == tuple(k + 1 for k in small_oracle(lam, FACTORS[1]))
+    small = small_oracle(rc.jacobi_eigen(s).lambdas, linalg.DEFAULT_COND_TOL)
+    try:
+        rc.solve(s, np.ones(len(lam)))
+    except rc.SingularMatrix as exc:
+        assert str(exc).startswith(f"eigenvalues {[k + 1 for k in small]} are below")
+    else:
+        assert not small
 
 
 @st.composite
