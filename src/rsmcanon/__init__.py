@@ -34,7 +34,6 @@ from .errors import (
     DuplicateTerm,
     IndexOutOfRange,
     InputError,
-    NegativeEmission,
     NoPositiveBranch,
     NonConvergence,
     NonPositiveBound,
@@ -127,7 +126,7 @@ __all__ = [
     "RsmError", "InputError", "NumericalError", "DimensionMismatch",
     "DuplicateTerm", "IndexOutOfRange", "DomainError", "WrongKind",
     "NonPositiveBound", "SameSignPair", "NotTwoVariable", "ZeroCoefficient",
-    "TooFewRows", "ParseError", "SchemaError", "NegativeEmission",
+    "TooFewRows", "ParseError", "SchemaError",
     "NonConvergence", "SingularMatrix", "DegeneratePair", "NoPositiveBranch",
     "RankDeficient",
 ]

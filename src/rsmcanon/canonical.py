@@ -29,6 +29,9 @@ from .model import QuadraticModel
 # Eigenvalues within this factor of max|lambda| count as zero.
 ZERO_TOL_FACTOR = 1e-9
 
+# Eigenvector components below this magnitude are left out of axis labels.
+AXIS_LABEL_THRESHOLD = 0.2
+
 
 @dataclass(frozen=True)
 class StationaryKind:
@@ -89,24 +92,24 @@ class CanonicalModel:
     def n(self) -> int:
         return len(self.names)
 
-    def axis_label(self, k: int, threshold: float = 0.2) -> str:
+    def axis_label(self, k: int) -> str:
         """Readable form of z_k over its dominant original variables.
 
-        Components with |v| below ``threshold`` are suppressed, e.g.
-        ``z1 ~ -0.257*Ga + 0.966*Bu``.
+        Components with |v| below AXIS_LABEL_THRESHOLD are suppressed,
+        e.g. ``z1 ~ -0.257*Ga + 0.966*Bu``.
         """
         col = self.axes[:, k - 1]
         parts = []
         for v, name in zip(col, self.names):
-            if abs(v) < threshold:
+            if abs(v) < AXIS_LABEL_THRESHOLD:
                 continue
             sign = "-" if v < 0 else ("+" if parts else "")
             parts.append(f"{sign} {abs(v):.3g}*{name}" if parts else f"{sign}{abs(v):.3g}*{name}")
         return " ".join(parts) if parts else "0"
 
-    def dominant_variables(self, k: int, threshold: float = 0.2) -> tuple[str, ...]:
+    def dominant_variables(self, k: int) -> tuple[str, ...]:
         col = self.axes[:, k - 1]
-        return tuple(name for v, name in zip(col, self.names) if abs(v) >= threshold)
+        return tuple(name for v, name in zip(col, self.names) if abs(v) >= AXIS_LABEL_THRESHOLD)
 
 
 def canonicalize(model: QuadraticModel) -> CanonicalModel:
@@ -162,9 +165,12 @@ def with_center(canon: CanonicalModel, center) -> CanonicalModel:
 
     Regions and trade relations are sometimes quoted about a published
     center rather than the computed stationary point; this swaps the
-    origin while keeping eigenvalues and axes.
+    origin while keeping eigenvalues and axes. DimensionMismatch unless
+    the center has n finite entries.
     """
     c = _as_vector(canon, center, "center").copy()
+    if not np.isfinite(c).all():
+        raise DimensionMismatch("center entries must be finite")
     c.setflags(write=False)
     return replace(canon, center=c)
 

@@ -28,7 +28,7 @@ from .modelio import (
     load_model,
     save_model,
 )
-from .regions import region
+from .regions import DEFAULT_BOUND, DEFAULT_T_MAX, region
 from .report import run_analysis
 
 
@@ -116,7 +116,10 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    exclude = [int(y) for y in args.exclude_years.split(",") if y] if args.exclude_years else []
+    try:
+        exclude = [int(y) for y in args.exclude_years.split(",") if y]
+    except ValueError as exc:  # its message quotes the entry
+        raise InputError(f"--exclude-years: {exc}") from None
     table, totals = load_emissions(args.data, exclude_years=exclude)
     kept = [k for k, co2 in enumerate(totals.co2_ppmv) if co2 is not None]
     if not kept:
@@ -162,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run the full canonical analysis")
     analyze.add_argument("model", help="model JSON file")
     analyze.add_argument("--pairs", help="region pairs, e.g. '1,3;2,4' (default: same-sign pairs)")
-    analyze.add_argument("--bound-M", type=float, default=1e-8, dest="bound_M",
-                         help="response fluctuation bound M (default 1e-8)")
+    analyze.add_argument("--bound-M", type=float, default=DEFAULT_BOUND, dest="bound_M",
+                         help="response fluctuation bound M (default %(default)g)")
     analyze.add_argument("--pairing", help="trade pairs, e.g. '1,4;2,3' (default: auto)")
     analyze.add_argument("--center", help="override region center, e.g. '534271,286155,8294.32,82045.4'")
     analyze.add_argument("--format", choices=("json", "text"), default="text")
@@ -173,10 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     regions = sub.add_parser("regions", help="emit boundary samples for one region as CSV")
     regions.add_argument("model")
     regions.add_argument("--pair", required=True, help="canonical pair, e.g. '1,3'")
-    regions.add_argument("--bound-M", type=float, default=1e-8, dest="bound_M")
+    regions.add_argument("--bound-M", type=float, default=DEFAULT_BOUND, dest="bound_M")
     regions.add_argument("--samples", type=int, default=360)
-    regions.add_argument("--t-max", type=float, default=3.0, dest="t_max",
-                         help="hyperbola parameter range (default 3.0)")
+    regions.add_argument("--t-max", type=float, default=DEFAULT_T_MAX, dest="t_max",
+                         help="hyperbola parameter range (default %(default)g)")
     regions.add_argument("--center", help="override region center")
     regions.add_argument("-o", "--output", help="CSV path (default stdout)")
     regions.set_defaults(func=_cmd_regions)

@@ -39,7 +39,7 @@ class WrongKind(InputError):
 
 
 class NonPositiveBound(InputError):
-    """Response-fluctuation bound M must be strictly positive."""
+    """Response-fluctuation bound M must be positive and finite."""
 
 
 class SameSignPair(InputError):
@@ -64,10 +64,6 @@ class ParseError(InputError):
 
 class SchemaError(InputError):
     """Structurally valid file that violates the expected schema."""
-
-
-class NegativeEmission(InputError):
-    """Emission quantity below zero; the offending row is rejected."""
 
 
 class NumericalError(RsmError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, RankDeficient, TooFewRows
 from .linalg import DEFAULT_COND_TOL, SymMatrix, jacobi_eigen, small_axes
-from .model import ModelTerm, QuadraticModel, build_model, reciprocal_exponent
+from .model import ModelTerm, QuadraticModel, build_model, check_terms, reciprocal_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,20 +94,9 @@ def transform_response(values, exponent: float) -> np.ndarray:
     return vals ** exponent
 
 
-def term_label(indices, names) -> str:
-    return ":".join(names[k] for k in indices)
-
-
-def _normalize_terms(terms, n: int) -> list[tuple[int, ...]]:
-    out = []
-    for t in terms:
-        idx = t.indices if isinstance(t, ModelTerm) else tuple(int(k) for k in t)
-        if len(idx) == 2:
-            idx = tuple(sorted(idx))
-        if len(idx) not in (1, 2) or any(k < 0 or k >= n for k in idx):
-            raise DimensionMismatch(f"bad term indices {idx} for {n} variables")
-        out.append(idx)
-    return out
+def _rank_key(stat: TermStat) -> tuple[float, str]:
+    """Descending partial F, ties broken by label."""
+    return (-stat.f_value, stat.label)
 
 
 def _design_matrix(d: Dataset, term_indices) -> np.ndarray:
@@ -149,55 +138,47 @@ def ols_fit(d: Dataset, terms, exponent: float,
             response_label: str = "response") -> FitResult:
     """Fit the given terms (plus an intercept) by ordinary least squares.
 
-    ``terms`` is a sequence of index tuples: (i,) for a linear term,
-    (i, j) for a quadratic or interaction term. The response is
-    transformed by ``exponent`` before fitting, and the result is
-    packaged as a QuadraticModel with partial-F statistics per term.
+    ``terms`` is a sequence of ModelTerms or index tuples: (i,) for a
+    linear term, (i, j) for a quadratic or interaction term; the term
+    rule of ``model.check_terms`` applies. The response is transformed
+    by ``exponent`` before fitting, and the result is packaged as a
+    QuadraticModel with partial-F statistics per term.
 
     Term k's F is b_k^2 / [(X'X)^-1]_kk, the SSE increase from dropping
     it, over the residual variance SSE / (rows - p - 1); the identity
     is exact for a full-rank design, so no reduced model is refit. An
     exact fit (zero residual) gives F = inf for every nonzero term.
     """
-    term_indices = _normalize_terms(terms, d.n)
-    if len(set(term_indices)) != len(term_indices):
-        raise DimensionMismatch("duplicate terms in fit request")
-    if d.rows < len(term_indices) + 3:
-        raise TooFewRows(
-            f"{d.rows} rows cannot support {len(term_indices)} terms "
-            f"(need at least {len(term_indices) + 3})"
-        )
+    terms = check_terms([t if isinstance(t, ModelTerm) else ModelTerm(t, 0.0) for t in terms],
+                        d.names)
+    p = len(terms)
+    if d.rows < p + 3:
+        raise TooFewRows(f"{d.rows} rows cannot support {p} terms (need at least {p + 3})")
     yt = transform_response(d.y, exponent)
-    labels = ["1"] + [term_label(idx, d.names) for idx in term_indices]
-    design = _design_matrix(d, term_indices)
+    labels = ["1"] + [t.label(d.names) for t in terms]
+    design = _design_matrix(d, [t.indices for t in terms])
     coef, sse_full, increase = _normal_solve(design, yt, labels)
 
-    dof = d.rows - len(term_indices) - 1
-    scale = sse_full / dof
+    scale = sse_full / (d.rows - p - 1)  # the residual variance
     if scale > 0.0:
         f_values = increase[1:] / scale
     else:
         f_values = np.where(increase[1:] > 0.0, np.inf, 0.0)
     stats = [
-        TermStat(label=labels[k + 1], indices=idx, coefficient=float(coef[k + 1]),
+        TermStat(label=labels[k + 1], indices=t.indices, coefficient=float(coef[k + 1]),
                  f_value=float(f_values[k]))
-        for k, idx in enumerate(term_indices)
+        for k, t in enumerate(terms)
     ]
-
-    ranked = sorted(stats, key=lambda s: (-s.f_value, s.label))
-    model_terms = [
-        ModelTerm(idx, float(coef[k + 1])) for k, idx in enumerate(term_indices)
-    ]
-    model = build_model(model_terms, intercept=float(coef[0]), exponent=exponent,
-                        names=d.names, response_label=response_label)
+    model = build_model([ModelTerm(s.indices, s.coefficient) for s in stats], intercept=coef[0],
+                        exponent=exponent, names=d.names, response_label=response_label)
     return FitResult(
         model=model,
         sse=sse_full,
         term_stats=tuple(stats),
-        ranking=tuple(s.label for s in ranked),
+        ranking=tuple(s.label for s in sorted(stats, key=_rank_key)),
     )
 
 
 def f_rank(d: Dataset, result: FitResult) -> tuple[TermStat, ...]:
     """Terms of ``result`` by descending partial F, ties broken by label; ``d`` is not refit."""
-    return tuple(sorted(result.term_stats, key=lambda s: (-s.f_value, s.label)))
+    return tuple(sorted(result.term_stats, key=_rank_key))

@@ -93,14 +93,14 @@ class EigenDecomposition:
         return (self.vectors * self.lambdas) @ self.vectors.T
 
 
-def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JACOBI_TOL) -> EigenDecomposition:
+def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by Jacobi rotations.
 
     Indices are first ordered by descending |a_pp|. Each sweep runs the
     steps of ``_wavefront``, rotating a step's disjoint pairs (p, q) at
     once as one orthogonal J: a <- J' a J, v <- v J. A step gathers
     (a_pq, a_pp, a_qq) in one read; a pair rotates only while
-    |a_pq| > ``tol`` sqrt|a_pp| sqrt|a_qq| (Demmel & Veselic, 1992),
+    |a_pq| > JACOBI_TOL sqrt|a_pp| sqrt|a_qq| (Demmel & Veselic, 1992),
     which keeps graded matrices to high relative accuracy. J is written
     in one scatter, and v is kept under a in one 2n x n array, so one
     product [J'a; v] J updates both and a still rounds as (J'a) J. Before
@@ -124,15 +124,15 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JA
     for sweep in itertools.count():
         g = av.take(_all_pairs(n))  # every pair, as this sweep begins
         root = np.sqrt(np.abs(g[1:]))
-        if not (np.abs(g[0]) > tol * root[0] * root[1]).any():
+        if not (np.abs(g[0]) > JACOBI_TOL * root[0] * root[1]).any():
             break
         if sweep >= max_sweeps:
-            raise NonConvergence(f"off-diagonal entries above {tol:g} sqrt|a_pp a_qq| "
+            raise NonConvergence(f"off-diagonal entries above {JACOBI_TOL:g} sqrt|a_pp a_qq| "
                                  f"after {max_sweeps} sweeps")
         for gather, scatter in _wavefront(n):
             apq, app, aqq = g = av.take(gather)
             root = np.sqrt(np.abs(g[1:]))
-            rot = np.abs(apq) > tol * root[0] * root[1]
+            rot = np.abs(apq) > JACOBI_TOL * root[0] * root[1]
             count = np.count_nonzero(rot)
             if not count:
                 continue

@@ -15,11 +15,17 @@ and testable.
 
 All coefficients are stored in absolute units. Any printed scale
 factors are expected to be applied before construction.
+
+This module owns the term rule: a term has 1 or 2 sorted int indices,
+each in [0, n), and no two terms share them. ``ModelTerm`` sorts and
+counts its own; ``check_terms`` tests range and duplicates for both
+``build_model`` and ``fitting.ols_fit``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +39,23 @@ class ModelTerm:
     """One published coefficient: a linear or a quadratic term.
 
     ``indices`` holds one variable index for a linear term or two
-    (sorted, possibly equal) for a quadratic/interaction term.
+    (possibly equal) for a quadratic/interaction term, stored as sorted
+    ints; other counts and non-integer indices raise DimensionMismatch.
     """
 
     indices: tuple[int, ...]
     coefficient: float
 
-    @classmethod
-    def linear(cls, i: int, coefficient: float) -> "ModelTerm":
-        return cls((int(i),), float(coefficient))
-
-    @classmethod
-    def quadratic(cls, i: int, j: int, coefficient: float) -> "ModelTerm":
-        lo, hi = sorted((int(i), int(j)))
-        return cls((lo, hi), float(coefficient))
+    def __post_init__(self) -> None:
+        try:
+            idx = tuple(sorted(map(operator.index, self.indices)))
+        except TypeError:  # an index that is not an integer
+            idx = ()
+        if len(idx) not in (1, 2):
+            raise DimensionMismatch(
+                f"a term needs 1 or 2 integer variable indices, got {self.indices!r}")
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "coefficient", float(self.coefficient))
 
     @property
     def is_linear(self) -> bool:
@@ -79,13 +88,16 @@ class QuadraticModel:
                 f"names/linear/interaction sizes disagree: "
                 f"{len(self.names)}, {beta.shape}, {self.interaction.n}"
             )
-        if not np.all(np.isfinite(beta)) or not np.isfinite(self.intercept):
+        intercept = float(self.intercept)
+        if not np.all(np.isfinite(beta)) or not math.isfinite(intercept):
             raise DimensionMismatch("model coefficients must be finite")
         reciprocal_exponent(self.exponent)
         beta = beta.copy()
         beta.setflags(write=False)
         object.__setattr__(self, "linear", beta)
         object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "exponent", float(self.exponent))
 
     @property
     def n(self) -> int:
@@ -98,35 +110,43 @@ class QuadraticModel:
         b = self.interaction.array
         for i in range(self.n):
             if self.linear[i] != 0.0:
-                out.append(ModelTerm.linear(i, self.linear[i]))
+                out.append(ModelTerm((i,), self.linear[i]))
         for i in range(self.n):
             for j in range(i, self.n):
                 coef = b[i, i] / 2.0 if i == j else b[i, j]
                 if coef != 0.0:
-                    out.append(ModelTerm.quadratic(i, j, coef))
+                    out.append(ModelTerm((i, j), coef))
         return tuple(out)
+
+
+def check_terms(terms, names) -> list[ModelTerm]:
+    """``terms`` as a list; IndexOutOfRange for an index outside [0, n),
+    DuplicateTerm for indices that a term shares with an earlier one."""
+    terms, n = list(terms), len(names)
+    seen: set[tuple[int, ...]] = set()
+    for term in terms:
+        idx = term.indices
+        if not all(0 <= k < n for k in idx):
+            raise IndexOutOfRange(f"term indices {idx} outside [0, {n})")
+        if idx in seen:
+            raise DuplicateTerm(f"term {term.label(names)} supplied twice")
+        seen.add(idx)
+    return terms
 
 
 def build_model(terms, intercept: float, exponent: float, names,
                 response_label: str = "response") -> QuadraticModel:
     """Assemble a QuadraticModel from published-style terms.
 
-    Absent terms are zero. Raises IndexOutOfRange for indices outside
-    [0, n) and DuplicateTerm when the same (kind, indices) appears
-    twice.
+    Absent terms are zero; ``check_terms`` vets the rest.
     """
     names = tuple(str(s) for s in names)
+    terms = check_terms(terms, names)
     n = len(names)
     beta = np.zeros(n)
     b = np.zeros((n, n))
-    seen: set[tuple[int, ...]] = set()
     for term in terms:
         idx = term.indices
-        if any(k < 0 or k >= n for k in idx):
-            raise IndexOutOfRange(f"term indices {idx} outside [0, {n})")
-        if idx in seen:
-            raise DuplicateTerm(f"term {term.label(names)} supplied twice")
-        seen.add(idx)
         if term.is_linear:
             beta[idx[0]] = term.coefficient
         else:
@@ -137,10 +157,10 @@ def build_model(terms, intercept: float, exponent: float, names,
                 b[i, j] = b[j, i] = term.coefficient
     return QuadraticModel(
         names=names,
-        intercept=float(intercept),
+        intercept=intercept,
         linear=beta,
         interaction=SymMatrix(b),
-        exponent=float(exponent),
+        exponent=exponent,
         response_label=response_label,
     )
 
@@ -158,7 +178,7 @@ def evaluate_matrix(model: QuadraticModel, point) -> float:
     """Transformed response in the matrix picture, b0 + beta'X + X'BX."""
     x = _as_point(model, point)
     # the same IEEE additions as on numpy scalars, at less cost per call
-    return (float(model.intercept) + float(model.linear @ x)
+    return (model.intercept + float(model.linear @ x)
             + float(x @ (model.interaction.array @ x)))
 
 

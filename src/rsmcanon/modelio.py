@@ -31,7 +31,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import NegativeEmission, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 from .model import ModelTerm, QuadraticModel, build_model
 from .regions import DEFAULT_T_MAX, RegionParametrization, _sample
 
@@ -133,7 +133,7 @@ def load_model(path) -> QuadraticModel:
         coef = _json_float(entry["coef"], f"{path}: term {pos} ({':'.join(entry['vars'])}): 'coef'")
         if len(idx) not in (1, 2):
             raise SchemaError(f"{path}: term {pos}: needs 1 or 2 variables, got {len(idx)}")
-        terms.append(ModelTerm(tuple(sorted(idx)), coef))  # linear, or quadratic (i <= j)
+        terms.append(ModelTerm(idx, coef))
     return build_model(
         terms,
         intercept=doc["intercept"],
@@ -190,7 +190,6 @@ class EmissionsTable:
     """Accepted rows plus bookkeeping from ingestion."""
 
     rows: tuple[EmissionsRow, ...]
-    excluded_years: tuple[int, ...]
     rejected: tuple[tuple[int, str], ...]  # (line number, reason)
 
 
@@ -254,8 +253,7 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
                                  f"({year}, {country!r})")
             seen.add((year, country))
             if any(v < 0.0 for v in values):
-                rejected.append((line_no, NegativeEmission(
-                    f"negative emission for {country!r} in {year}").args[0]))
+                rejected.append((line_no, f"negative emission for {country!r} in {year}"))
                 continue
             if not math.isfinite(sum(values, co2 or 0.0)):  # a cell, or the sum overflowed
                 for field, cell in zip((*EMISSIONS_FIELDS, "co2_ppmv"), record[2:]):
@@ -264,7 +262,7 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
                                          f"{cell!r} is not finite")
             rows.append(EmissionsRow(year, country, values, co2))
 
-    table = EmissionsTable(tuple(rows), tuple(sorted(exclude)), tuple(rejected))
+    table = EmissionsTable(tuple(rows), tuple(rejected))
     years = sorted({r.year for r in rows})
     totals = np.zeros((len(years), len(EMISSIONS_FIELDS)))
     co2_by_year: dict[int, float] = {}

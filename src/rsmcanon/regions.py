@@ -13,7 +13,8 @@ an affine table with one row per variable:
     x_v = center_v + coef1_v * basis1(param) + coef2_v * basis2(param)
 
 Here M is a deterministic band on the transformed response, not a
-probabilistic coverage set.
+probabilistic coverage set. M must be positive and finite;
+``check_bound`` is the one test of that, and NonPositiveBound its error.
 
 ``region`` builds a pair's region with ``ellipse_region`` or
 ``hyperbola_region`` as ``region_kind`` dictates; a pair is usable when
@@ -36,6 +37,7 @@ from .errors import InputError, NonPositiveBound, WrongKind
 CONTAINS_SLACK = 1e-12
 
 DEFAULT_T_MAX = 3.0
+DEFAULT_BOUND = 1e-8
 
 
 class RegionKind(enum.Enum):
@@ -78,6 +80,13 @@ class RegionParametrization:
     def unbounded(self) -> bool:
         """Hyperbolic bands do not enclose a finite region."""
         return not self.kind.is_elliptical
+
+
+def check_bound(bound: float) -> float:
+    """M as a float; NonPositiveBound unless it is positive and finite."""
+    if not 0.0 < bound < math.inf:
+        raise NonPositiveBound(f"bound must be positive and finite, got {bound!r}")
+    return float(bound)
 
 
 def region_kind(canon: CanonicalModel, i: int, j: int) -> RegionKind:
@@ -124,12 +133,14 @@ def hyperbola_region(canon: CanonicalModel, i: int, j: int, bound: float) -> Reg
 
 def _build(canon: CanonicalModel, pair: tuple[int, int], kind: RegionKind,
            bound: float) -> RegionParametrization:
-    """Region for ``pair`` in basis order; semiaxes are sqrt(M/|lambda|)."""
-    if not bound > 0.0:
-        raise NonPositiveBound(f"bound must be positive, got {bound!r}")
+    """Region for ``pair`` in basis order; semiaxes are sqrt(M/|lambda|),
+    and InputError names a bound so large that they overflow."""
+    bound = check_bound(bound)
     i, j = pair
-    a_i = float(np.sqrt(bound / abs(canon.lambdas[i - 1])))
-    a_j = float(np.sqrt(bound / abs(canon.lambdas[j - 1])))
+    a_i = math.sqrt(bound / abs(float(canon.lambdas[i - 1])))
+    a_j = math.sqrt(bound / abs(float(canon.lambdas[j - 1])))
+    if math.isinf(a_i + a_j):
+        raise InputError(f"bound {bound!r} overflows the semiaxes of pair {pair}")
     affine = np.column_stack([
         canon.center,
         a_i * canon.axes[:, i - 1],
@@ -137,7 +148,7 @@ def _build(canon: CanonicalModel, pair: tuple[int, int], kind: RegionKind,
     ])
     affine.setflags(write=False)
     return RegionParametrization(
-        pair=pair, bound=float(bound), kind=kind,
+        pair=pair, bound=bound, kind=kind,
         semiaxes=(a_i, a_j), names=canon.names, affine=affine,
     )
 
@@ -167,10 +178,7 @@ def _sample(region: RegionParametrization, count: int, t_max: float,
         r = np.repeat((1.0, -1.0)[:1 + closed], count)
         c1, c2 = r * np.cosh(t), r * np.sinh(t)
     a = region.affine
-    b1, b2 = a[:, 1] * c1[:, None], a[:, 2] * c2[:, None]
-    # Closed hyperbola rows round as center + r * (b1 + b2), the others as
-    # (center + b1) + b2, so CSV and boundary_points values keep their bits.
-    x = a[:, 0] + (b1 + b2) if closed and region.unbounded else a[:, 0] + b1 + b2
+    x = a[:, 0] + a[:, 1] * c1[:, None] + a[:, 2] * c2[:, None]
     return t, r, np.column_stack([region.semiaxes[0] * c1, region.semiaxes[1] * c2]), x
 
 
@@ -195,8 +203,7 @@ def contains(canon: CanonicalModel, point, bound: float) -> bool:
     terms cancel (a hyperbola far along its asymptotes) or where the
     point is far from the origin.
     """
-    if not bound > 0.0:
-        raise NonPositiveBound(f"bound must be positive, got {bound!r}")
+    check_bound(bound)
     z = to_canonical(canon, point)
     fluct = abs(float(canon.lambdas @ (z * z)))
     if fluct <= bound * (1.0 + CONTAINS_SLACK):

@@ -12,14 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .canonical import ZERO_TOL_FACTOR, CanonicalModel, canonicalize, with_center
 from .errors import RsmError
 from .linalg import DEFAULT_COND_TOL
 from .model import QuadraticModel
-from .regions import CONTAINS_SLACK, max_intervals, region
+from .regions import CONTAINS_SLACK, DEFAULT_BOUND, check_bound, max_intervals, region
 from .tradeoff import conversion_rates, default_pairing, iso_slopes, marginal_rates
 
 
@@ -51,20 +49,6 @@ class AnalysisReport:
         return render_text(self)
 
 
-def _plain(value):
-    """A caller-supplied value as plain Python, so json stays deterministic
-    and an integer argument renders as an integer."""
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def _region_section(canon: CanonicalModel, i: int, j: int, bound: float) -> dict:
     reg = region(canon, i, j, bound)
     basis1, basis2 = reg.basis
@@ -94,7 +78,7 @@ def _region_section(canon: CanonicalModel, i: int, j: int, bound: float) -> dict
     return section
 
 
-def run_analysis(model: QuadraticModel, pairs=None, bound: float = 1e-8,
+def run_analysis(model: QuadraticModel, pairs=None, bound: float = DEFAULT_BOUND,
                  pairing=None, center=None, source_digest: str | None = None) -> AnalysisReport:
     """Full canonical analysis of a model.
 
@@ -106,16 +90,14 @@ def run_analysis(model: QuadraticModel, pairs=None, bound: float = 1e-8,
     examples quoted about an external center are reproduced.
 
     Errors from the underlying stages propagate tagged with the stage
-    name.
+    name; the bound is checked first, as part of the regions stage.
     """
+    bound = _staged("regions", check_bound, bound)
     canon = _staged("canonical", canonicalize, model)
 
     if pairs is None:
         pairs = _default_region_pairs(canon)
-    if center is not None:
-        region_canon = with_center(canon, center)
-    else:
-        region_canon = canon
+    region_canon = canon if center is None else with_center(canon, center)
 
     eigen_section = {
         "eigenvalues": canon.lambdas.tolist(),
@@ -153,8 +135,8 @@ def run_analysis(model: QuadraticModel, pairs=None, bound: float = 1e-8,
         model={
             "variables": list(model.names),
             "response_label": model.response_label,
-            "exponent": _plain(model.exponent),
-            "intercept": _plain(model.intercept),
+            "exponent": model.exponent,
+            "intercept": model.intercept,
             "linear": model.linear.tolist(),
             "interaction": model.interaction.array.tolist(),
         },
@@ -166,8 +148,8 @@ def run_analysis(model: QuadraticModel, pairs=None, bound: float = 1e-8,
             "tool": "rsmcanon",
             "version": __version__,
             "model_digest_sha256": source_digest,
-            "bound": _plain(bound),
-            "region_center_override": _plain(center) if center is not None else None,
+            "bound": bound,
+            "region_center_override": region_canon.center.tolist() if center is not None else None,
             "tolerances": {
                 "cond_tol": DEFAULT_COND_TOL,
                 "zero_tol_factor": ZERO_TOL_FACTOR,

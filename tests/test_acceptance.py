@@ -17,12 +17,10 @@ fails these criteria.
 import json
 
 import numpy as np
-import pytest
 
 import rsmcanon as rc
 from rsmcanon import (
     Dataset,
-    boundary_points,
     canonical_response,
     contains,
     ellipse_region,
@@ -40,7 +38,6 @@ from eu_reference import (
     EU_AXES_REF,
     EU_ELLIPSE_COEFS,
     EU_LAMBDAS_REF,
-    EU_QUOTED_HYPERBOLIC_AFFINE,
     EU_RATE_GA_BU,
     EU_RATE_LI_FL,
     EU_SEMIAXIS_Z1,

@@ -30,7 +30,7 @@ PRINT_TOL = 1e-4
 
 
 def negative_definite_model():
-    terms = [ModelTerm.quadratic(0, 0, -0.5), ModelTerm.quadratic(1, 1, -0.5)]
+    terms = [ModelTerm((0, 0), -0.5), ModelTerm((1, 1), -0.5)]
     return build_model(terms, intercept=2.0, exponent=1.0, names=("x", "y"))
 
 
@@ -69,7 +69,7 @@ class TestCanonicalize:
             np.testing.assert_allclose(diff, 2.0 * b @ x, rtol=1e-12, atol=1e-25)
 
     def test_degenerate_quadratic_rejected(self):
-        flat = build_model([ModelTerm.linear(0, 1.0)], 0.0, 1.0, ("x", "y"))
+        flat = build_model([ModelTerm((0,), 1.0)], 0.0, 1.0, ("x", "y"))
         with pytest.raises(SingularMatrix):
             canonicalize(flat)
 
@@ -196,6 +196,11 @@ class TestWithCenter:
     def test_validates_shape(self, eu_canon):
         with pytest.raises(DimensionMismatch):
             with_center(eu_canon, [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_center_rejected(self, eu_canon, bad):
+        with pytest.raises(DimensionMismatch, match="center entries must be finite"):
+            with_center(eu_canon, [bad, 0.0, 0.0, 0.0])
 
 
 def test_axis_labels_name_dominant_variables(eu_canon):

@@ -6,7 +6,11 @@ import pytest
 import rsmcanon.fitting as fitting
 from rsmcanon import (
     Dataset,
+    DimensionMismatch,
     DomainError,
+    DuplicateTerm,
+    IndexOutOfRange,
+    ModelTerm,
     RankDeficient,
     TooFewRows,
     f_rank,
@@ -29,6 +33,30 @@ def synthetic_dataset(coef, terms, rows=40, seed=RNG_SEED, noise=0.0, names=("a"
     if noise:
         y = y + noise * rng.standard_normal(rows)
     return Dataset(X=x, y=y, names=names)
+
+
+class TestTermRule:
+    """The fit takes the term rule of ``build_model``."""
+
+    @pytest.mark.parametrize("terms, error", [
+        ([(0,), (0, 1), (1, 0)], DuplicateTerm),
+        ([(0,), ModelTerm((0,), 5.0)], DuplicateTerm),
+        ([(0, 3)], IndexOutOfRange),
+        ([(-1,)], IndexOutOfRange),
+        ([(0, 1, 2)], DimensionMismatch),
+        ([()], DimensionMismatch),
+    ])
+    def test_bad_terms_rejected(self, terms, error):
+        d = synthetic_dataset([1.0, 2.0], [(0,)])
+        with pytest.raises(error):
+            ols_fit(d, terms, exponent=1.0)
+
+    def test_reversed_pair_fits_as_sorted(self):
+        d = synthetic_dataset([1.0, 2.0, -0.5], [(0,), (0, 1)], noise=0.01)
+        got, want = ols_fit(d, [(0,), (1, 0)], 1.0), ols_fit(d, [(0,), (0, 1)], 1.0)
+        assert got.ranking == want.ranking
+        assert [s.indices for s in got.term_stats] == [(0,), (0, 1)]
+        assert [s.coefficient for s in got.term_stats] == [s.coefficient for s in want.term_stats]
 
 
 class TestTransformResponse:

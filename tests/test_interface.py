@@ -418,7 +418,7 @@ class TestReport:
         assert any(r["basis"] == "sinh" for r in section["marginal_rates"])
 
     def test_zero_quadratic_model_surfaces_singularity(self):
-        flat = rc.build_model([rc.ModelTerm.linear(0, 1.0)], 0.0, 1.0, ("x", "y"))
+        flat = rc.build_model([rc.ModelTerm((0,), 1.0)], 0.0, 1.0, ("x", "y"))
         with pytest.raises(rc.SingularMatrix) as err:
             rc.run_analysis(flat)
         assert "[canonical]" in str(err.value)
@@ -641,6 +641,73 @@ class TestCli:
             os.umask(old)
         for name in ("m.json", "r.csv", "t.txt"):
             assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+
+
+def saddle_model_file(path):
+    """A 2-variable saddle: one negative and one positive eigenvalue, so
+    the default region pairs are empty."""
+    path.write_text(json.dumps({
+        "variables": ["x", "y"], "exponent": 1.0, "intercept": 0.0,
+        "terms": [{"vars": ["x", "x"], "coef": 1.0}, {"vars": ["y", "y"], "coef": -1.0}]}))
+    return str(path)
+
+
+def one_error_line(capsys, name):
+    """The CLI wrote nothing to stdout and one ``rsmcanon: <name>: ...`` line to stderr."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"rsmcanon: {name}: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestInputChecks:
+    """Each input is checked where it enters; the CLI maps a rejection to
+    exit 2 with one line on stderr."""
+
+    @pytest.mark.parametrize("bound", ["inf", "nan", "0", "-1e-8"])
+    def test_analyze_bound_without_region_pairs(self, tmp_path, capsys, bound):
+        path = saddle_model_file(tmp_path / "saddle.json")
+        assert main(["analyze", path, f"--bound-M={bound}", "--format", "json"]) == 2
+        err = one_error_line(capsys, "NonPositiveBound")
+        assert "[regions] bound must be positive and finite" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "regions"])
+    @pytest.mark.parametrize("center", ["nan,0,0,0", "0,inf,0,0"])
+    def test_non_finite_center(self, model_path, capsys, command, center):
+        extra = ["--pair", "1,3"] if command == "regions" else ["--format", "json"]
+        assert main([command, model_path, *extra, "--center", center]) == 2
+        assert "center entries must be finite" in one_error_line(capsys, "DimensionMismatch")
+
+    def test_fit_malformed_excluded_year(self, tmp_path, capsys):
+        write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", "Li,Ga",
+                     "--exponent", "1.0", "--exclude-years", "1964,19x4", "-o", str(out)]) == 2
+        assert "'19x4'" in one_error_line(capsys, "InputError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("terms, name", [
+        ("Li,Li", "DuplicateTerm"),
+        ("Li,Li:Ga,Ga:Li", "DuplicateTerm"),
+        ("Li:Ga:Bu", "DimensionMismatch"),
+    ])
+    def test_fit_terms_follow_the_term_rule(self, tmp_path, capsys, terms, name):
+        write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", terms,
+                     "--exponent", "1.0", "-o", str(out)]) == 2
+        one_error_line(capsys, name)
+        assert not out.exists()
+
+    def test_integer_scalars_render_as_floats(self, eu_model):
+        model = rc.build_model(eu_model.terms, intercept=1, exponent=-2.376, names=eu_model.names)
+        report = rc.run_analysis(model, bound=1, center=[534271, 286155, 8294, 82045])
+        assert report.model["intercept"] == 1.0 and type(report.model["intercept"]) is float
+        assert report.provenance["bound"] == 1.0 and type(report.provenance["bound"]) is float
+        center = report.provenance["region_center_override"]
+        assert center == [534271.0, 286155.0, 8294.0, 82045.0]
+        assert all(type(v) is float for v in center)
+        assert '"bound": 1.0' in report.to_json()
 
 
 class TestAtomicWrite:

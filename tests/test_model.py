@@ -9,6 +9,8 @@ from rsmcanon import (
     DuplicateTerm,
     IndexOutOfRange,
     ModelTerm,
+    QuadraticModel,
+    SymMatrix,
     build_model,
     evaluate_matrix,
     evaluate_terms,
@@ -25,21 +27,21 @@ TRANSFORMED_316 = 1.15012088987623e-06
 
 def toy_model(intercept=0.5):
     terms = [
-        ModelTerm.linear(0, 2.0),
-        ModelTerm.quadratic(0, 0, 1.5),
-        ModelTerm.quadratic(0, 1, -3.0),
-        ModelTerm.quadratic(1, 1, 0.25),
+        ModelTerm((0,), 2.0),
+        ModelTerm((0, 0), 1.5),
+        ModelTerm((0, 1), -3.0),
+        ModelTerm((1, 1), 0.25),
     ]
     return build_model(terms, intercept=intercept, exponent=1.0, names=("u", "v"))
 
 
 class TestBuildModel:
     def test_diagonal_convention_doubles(self):
-        m = build_model([ModelTerm.quadratic(0, 0, 3.0)], 0.0, 1.0, ("x",))
+        m = build_model([ModelTerm((0, 0), 3.0)], 0.0, 1.0, ("x",))
         assert m.interaction.array[0, 0] == 6.0
 
     def test_off_diagonal_convention(self):
-        m = build_model([ModelTerm.quadratic(0, 1, 3.0)], 0.0, 1.0, ("x", "y"))
+        m = build_model([ModelTerm((0, 1), 3.0)], 0.0, 1.0, ("x", "y"))
         assert m.interaction.array[0, 1] == m.interaction.array[1, 0] == 3.0
 
     def test_empty_terms_zero_model(self):
@@ -57,20 +59,27 @@ class TestBuildModel:
             eu_model.linear, np.array([-3.4501, -30.635, 710.848, 0.0]) * 1e-13, rtol=1e-12)
 
     def test_duplicate_term_rejected(self):
-        terms = [ModelTerm.quadratic(0, 1, 1.0), ModelTerm.quadratic(1, 0, 2.0)]
+        terms = [ModelTerm((0, 1), 1.0), ModelTerm((1, 0), 2.0)]
         with pytest.raises(DuplicateTerm):
             build_model(terms, 0.0, 1.0, ("x", "y"))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            build_model([ModelTerm.linear(2, 1.0)], 0.0, 1.0, ("x", "y"))
+            build_model([ModelTerm((2,), 1.0)], 0.0, 1.0, ("x", "y"))
+        with pytest.raises(IndexOutOfRange):
+            build_model([ModelTerm((-1, 0), 1.0)], 0.0, 1.0, ("x", "y"))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, value):
         with pytest.raises(DimensionMismatch, match="model coefficients must be finite"):
             build_model([], intercept=value, exponent=1.0, names=("x",))
         with pytest.raises(DimensionMismatch, match="matrix entries must be finite"):
-            build_model([ModelTerm.quadratic(0, 1, value)], 0.0, 1.0, ("x", "y"))
+            build_model([ModelTerm((0, 1), value)], 0.0, 1.0, ("x", "y"))
+
+    def test_scalars_stored_as_floats(self):
+        m = QuadraticModel(("x",), 1, np.zeros(1), SymMatrix([[0.0]]), np.int64(2))
+        assert type(m.intercept) is float and type(m.exponent) is float
+        assert (m.intercept, m.exponent) == (1.0, 2.0)
 
     def test_terms_round_trip(self):
         m = toy_model()
@@ -79,13 +88,26 @@ class TestBuildModel:
         assert np.array_equal(rebuilt.interaction.array, m.interaction.array)
 
 
+class TestTermRule:
+    def test_indices_stored_sorted_as_ints(self):
+        term = ModelTerm((np.int64(1), 0), 2)
+        assert term.indices == (0, 1) and all(type(k) is int for k in term.indices)
+        assert type(term.coefficient) is float
+        assert term == ModelTerm([0, 1], 2.0)
+
+    @pytest.mark.parametrize("indices", [(), (0, 1, 1), (0.5,), (1, 0.0)])
+    def test_term_needs_one_or_two_integer_indices(self, indices):
+        with pytest.raises(DimensionMismatch, match="1 or 2 integer variable indices"):
+            build_model([ModelTerm(indices, 1.0)], 0.0, 1.0, ("x", "y"))
+
+
 class TestEvaluation:
     def test_matrix_at_origin_is_intercept(self, eu_model):
         assert evaluate_matrix(eu_model, np.zeros(4)) == pytest.approx(1.23e-6, rel=1e-12)
 
     def test_identity_interaction(self):
         m = build_model(
-            [ModelTerm.quadratic(0, 0, 0.5), ModelTerm.quadratic(1, 1, 0.5)],
+            [ModelTerm((0, 0), 0.5), ModelTerm((1, 1), 0.5)],
             intercept=0.3, exponent=1.0, names=("x", "y"))
         # B is the identity under the doubling convention
         assert evaluate_matrix(m, [1.0, 1.0]) == pytest.approx(0.3 + 2.0, rel=1e-14)
@@ -94,7 +116,7 @@ class TestEvaluation:
         assert evaluate_terms(toy_model(intercept=0.7), [0.0, 0.0]) == 0.7
 
     def test_single_term_exact(self):
-        m = build_model([ModelTerm.quadratic(0, 0, 1.35565e-18)], 0.0, 1.0, ("Li",))
+        m = build_model([ModelTerm((0, 0), 1.35565e-18)], 0.0, 1.0, ("Li",))
         x = 2.5e5
         assert evaluate_terms(m, [x]) == pytest.approx(1.35565e-18 * x * x, rel=1e-14)
 

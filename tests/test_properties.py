@@ -27,6 +27,8 @@ those axes, and ``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based.
 
 import io
 import itertools
+import json
+import sys
 import warnings
 
 import numpy as np
@@ -500,3 +502,23 @@ def test_pairing_equals_oracle_on_block_axes(canon):
 def test_pairing_equals_oracle_on_dense_axes(case):
     canon = case[0]
     assert tradeoff.default_pairing(canon) == pairing_oracle(canon)
+
+
+def reject_constant(name):
+    raise ValueError(f"report JSON holds {name}")
+
+
+@given(graded_model(), st.data())
+def test_accepted_report_json_has_only_finite_numbers(case, data):
+    model, bound = case
+    bound = data.draw(st.sampled_from([bound, 1, 1e300, sys.float_info.max]) | st.floats()
+                      | st.floats(-330.0, 308.0).map(lambda e: 10.0 ** e)
+                      | st.integers(-2, 2), label="bound")
+    center = data.draw(st.none() | arrays(float, (model.n,), elements=st.floats()), label="center")
+    all_pairs = list(itertools.combinations(range(1, model.n + 1), 2))
+    pairs = data.draw(st.sampled_from([None, all_pairs]), label="pairs")
+    try:
+        report = rc.run_analysis(model, pairs=pairs, bound=bound, center=center)
+    except rc.InputError:
+        return
+    json.loads(report.to_json(), parse_constant=reject_constant)

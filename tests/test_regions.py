@@ -110,6 +110,15 @@ class TestEllipseRegion:
         with pytest.raises(NonPositiveBound):
             ellipse_region(eu_canon, 1, 3, 0.0)
 
+    @pytest.mark.parametrize("bound", [0.0, -1e-8, np.nan, np.inf])
+    def test_bound_not_positive_and_finite(self, eu_canon, bound):
+        with pytest.raises(NonPositiveBound, match="positive and finite"):
+            ellipse_region(eu_canon, 1, 3, bound)
+        with pytest.raises(NonPositiveBound, match="positive and finite"):
+            hyperbola_region(eu_canon, 2, 3, bound)
+        with pytest.raises(NonPositiveBound, match="positive and finite"):
+            contains(eu_canon, eu_canon.center, bound)
+
     def test_scaling_law(self, eu_canon):
         base = ellipse_region(eu_canon, 1, 3, M_IPCC)
         for k in (0.25, 4.0, 9.0):
