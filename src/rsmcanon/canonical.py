@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegeneratePair, DimensionMismatch, IndexOutOfRange, SingularMatrix
+from .errors import DegeneratePair, IndexOutOfRange, SingularMatrix
 from .linalg import jacobi_eigen, small_axes, solve
-from .model import QuadraticModel
+from .model import QuadraticModel, check_point
 
 # Eigenvalues within this factor of max|lambda| count as zero.
 ZERO_TOL_FACTOR = 1e-9
@@ -165,37 +165,28 @@ def with_center(canon: CanonicalModel, center) -> CanonicalModel:
 
     Regions and trade relations are sometimes quoted about a published
     center rather than the computed stationary point; this swaps the
-    origin while keeping eigenvalues and axes. DimensionMismatch unless
-    the center has n finite entries.
+    origin while keeping eigenvalues and axes. The center passes
+    ``model.check_point``, as do the points and canonical coordinates below.
     """
-    c = _as_vector(canon, center, "center").copy()
-    if not np.isfinite(c).all():
-        raise DimensionMismatch("center entries must be finite")
+    c = check_point(center, canon.n, "center").copy()
     c.setflags(write=False)
     return replace(canon, center=c)
 
 
-def _as_vector(canon: CanonicalModel, vec, what: str) -> np.ndarray:
-    x = np.asarray(vec, dtype=float)
-    if x.shape != (canon.n,):
-        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({canon.n},)")
-    return x
-
-
 def to_canonical(canon: CanonicalModel, point) -> np.ndarray:
     """Canonical coordinates z_k = V_k' (X - center)."""
-    x = _as_vector(canon, point, "point")
+    x = check_point(point, canon.n)
     return canon.axes.T @ (x - canon.center)
 
 
 def from_canonical(canon: CanonicalModel, z) -> np.ndarray:
     """Inverse map X = center + sum_k z_k V_k."""
-    zz = _as_vector(canon, z, "canonical coordinates")
+    zz = check_point(z, canon.n, "canonical point")
     return canon.center + canon.axes @ zz
 
 
 def canonical_response(canon: CanonicalModel, z) -> float:
     """Transformed response y0 + sum_k lambda_k z_k**2."""
-    zz = _as_vector(canon, z, "canonical coordinates")
+    zz = check_point(z, canon.n, "canonical point")
     return float(canon.y0 + canon.lambdas @ (zz * zz))
 

@@ -19,7 +19,10 @@ factors are expected to be applied before construction.
 This module owns the term rule: a term has 1 or 2 sorted int indices,
 each in [0, n), and no two terms share them. ``ModelTerm`` sorts and
 counts its own; ``check_terms`` tests range and duplicates for both
-``build_model`` and ``fitting.ols_fit``.
+``build_model`` and ``fitting.ols_fit``. It owns the point rule too:
+``check_point`` (shape (n,), n finite entries) runs before any
+arithmetic in every per-point function here and in ``canonical``, so
+in ``regions.contains`` as well.
 """
 
 from __future__ import annotations
@@ -165,18 +168,20 @@ def build_model(terms, intercept: float, exponent: float, names,
     )
 
 
-def _as_point(model: QuadraticModel, point) -> np.ndarray:
+def check_point(point, n: int, what: str = "point") -> np.ndarray:
+    """``point`` as a float array; DimensionMismatch naming ``what``
+    unless it has shape (n,) and n finite entries."""
     x = np.asarray(point, dtype=float)
-    if x.shape != (model.n,):
-        raise DimensionMismatch(f"point has shape {x.shape}, expected ({model.n},)")
+    if x.shape != (n,):
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({n},)")
     if not all(map(math.isfinite, x.tolist())):
-        raise DimensionMismatch("point entries must be finite")
+        raise DimensionMismatch(f"{what} entries must be finite")
     return x
 
 
 def evaluate_matrix(model: QuadraticModel, point) -> float:
     """Transformed response in the matrix picture, b0 + beta'X + X'BX."""
-    x = _as_point(model, point)
+    x = check_point(point, model.n)
     # the same IEEE additions as on numpy scalars, at less cost per call
     return (model.intercept + float(model.linear @ x)
             + float(x @ (model.interaction.array @ x)))
@@ -184,7 +189,7 @@ def evaluate_matrix(model: QuadraticModel, point) -> float:
 
 def evaluate_terms(model: QuadraticModel, point) -> float:
     """Transformed response as the literal sum over published terms."""
-    x = _as_point(model, point)
+    x = check_point(point, model.n)
     total = model.intercept
     for term in model.terms:
         if term.is_linear:
@@ -197,7 +202,7 @@ def evaluate_terms(model: QuadraticModel, point) -> float:
 
 def gradient(model: QuadraticModel, point) -> np.ndarray:
     """Gradient of the matrix picture: beta + 2 B X."""
-    x = _as_point(model, point)
+    x = check_point(point, model.n)
     return model.linear + 2.0 * (model.interaction @ x)
 
 

@@ -10,7 +10,13 @@ the predicted response unchanged (the M = 0 "trade" rate).
 For a nonzero fluctuation band M the exchange is read off a hyperbolic
 region parametrization instead: variables sharing a basis function
 (cosh or sinh) trade at the ratio of their coefficients. Those
-marginal rates depend on M and differ from the M = 0 rates.
+marginal rates differ from the M = 0 rates.
+
+One rule, ``_active``, says which components of a vector c are nonzero:
+|c_k| > ACTIVE_COMPONENT_TOL ||c||_2. It picks the variables that axes
+touch, the usable branches and the coefficients sharing a basis
+function. It is free of scale, and the coefficients all scale by
+sqrt(M), so the marginal rates are the same at every accepted M > 0.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from .errors import (
 )
 from .regions import RegionParametrization
 
-# Eigenvector components below this magnitude count as "not touching"
-# a variable (orthonormal columns, so the scale is 1).
+# Components at or below this factor of their vector's 2-norm count as
+# "not touching" a variable (see ``_active``).
 ACTIVE_COMPONENT_TOL = 1e-9
 
 
@@ -70,47 +76,52 @@ def iso_slopes(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
 
 
 def default_pairing(canon: CanonicalModel) -> list[tuple[int, int]]:
-    """Opposite-sign canonical pairs whose eigenvectors touch exactly
-    two original variables and give at least one positive branch, in
-    index order. A pair touches every variable either axis does, so axes
-    with more than two active components are ruled out first, at once."""
-    few = (np.flatnonzero((np.abs(canon.axes) > ACTIVE_COMPONENT_TOL).sum(0) <= 2) + 1).tolist()
+    """The opposite-sign pairs that ``_pair_rates`` accepts, in index order.
+    A pair touches every variable either axis does, so axes with more
+    than two active components are ruled out first, at once."""
+    few = (np.flatnonzero(_active(canon.axes).sum(0) <= 2) + 1).tolist()
     out = []
     for pos, i in enumerate(few):
         for j in few[pos + 1:]:
-            if canon.lambdas[i - 1] * canon.lambdas[j - 1] >= 0.0:
+            try:
+                _pair_rates(canon, i, j)
+            except (SameSignPair, NotTwoVariable, NoPositiveBranch):
                 continue
-            active = _active_variables(canon, i, j)
-            if len(active) == 2 and _positive_branches(canon, i, j, active):
-                out.append((i, j))
+            out.append((i, j))
     return out
 
 
-def _active_variables(canon: CanonicalModel, i: int, j: int) -> list[int]:
-    vi, vj = canon.axes[:, i - 1], canon.axes[:, j - 1]
-    mask = np.maximum(np.abs(vi), np.abs(vj)) > ACTIVE_COMPONENT_TOL
-    return [int(k) for k in np.flatnonzero(mask)]
+def _active(vectors) -> np.ndarray:
+    """|c_k| > ACTIVE_COMPONENT_TOL ||c||_2 for each column c of ``vectors``
+    (or the one vector), with the norm taken without squaring."""
+    mags = np.abs(vectors)
+    return mags > ACTIVE_COMPONENT_TOL * np.hypot.reduce(mags, axis=0)
 
 
-def _positive_branches(canon: CanonicalModel, i: int, j: int,
-                       active: list[int]) -> list[ConversionRate]:
-    """M = 0 rates of an opposite-sign pair on its two active variables,
-    one per hyperplane sign with a positive, finite ratio, by ratio."""
+def _pair_rates(canon: CanonicalModel, i: int, j: int) -> list[ConversionRate]:
+    """M = 0 rates of pair (i, j), one per hyperplane sign with a
+    positive, finite ratio, by ratio. After the ``iso_slopes`` checks,
+    raises NotTwoVariable unless the two axes touch exactly two
+    variables, and NoPositiveBranch when neither sign gives a rate."""
     slope, _ = iso_slopes(canon, i, j)
+    v = canon.axes[:, [i - 1, j - 1]]
+    active = np.flatnonzero(_active(v).any(axis=1)).tolist()
+    if len(active) != 2:
+        involved = ", ".join(f"{canon.names[k]} (V{i}: {v[k, 0]:+.4g}, V{j}: {v[k, 1]:+.4g})"
+                             for k in active)
+        raise NotTwoVariable(f"pair ({i}, {j}) involves {len(active)} variables, "
+                             f"expected 2: {involved}")
     a, b = active
-    vi, vj = canon.axes[:, i - 1], canon.axes[:, j - 1]
     found = []
     for sign, tag in ((1.0, "+"), (-1.0, "-")):
-        w = vi - sign * slope * vj
+        w = v[active, 0] - sign * slope * v[active, 1]
         # a branch whose null line collapses onto a coordinate axis
-        # (either component of w vanishing) is not a usable trade
-        scale = float(np.hypot(w[a], w[b]))
-        if min(abs(w[a]), abs(w[b])) <= ACTIVE_COMPONENT_TOL * scale:
-            continue
-        ratio = -w[b] / w[a]
-        if np.isfinite(ratio) and ratio > 0.0:
+        # (either component of w inactive) is not a usable trade
+        if _active(w).all() and (ratio := float(-w[1] / w[0])) > 0.0:
             found.append(ConversionRate(from_variable=canon.names[a], to_variable=canon.names[b],
-                                        ratio=float(ratio), branch=tag, bound=0.0))
+                                        ratio=ratio, branch=tag, bound=0.0))
+    if not found:
+        raise NoPositiveBranch(f"pair ({i}, {j}): neither hyperplane sign gives a positive ratio")
     found.sort(key=lambda r: r.ratio)
     return found
 
@@ -127,26 +138,7 @@ def conversion_rates(canon: CanonicalModel, pairing=None) -> list[ConversionRate
     """
     if pairing is None:
         pairing = default_pairing(canon)
-    rates: list[ConversionRate] = []
-    for i, j in pairing:
-        iso_slopes(canon, i, j)  # range, degeneracy and sign checks come first
-        active = _active_variables(canon, i, j)
-        if len(active) != 2:
-            involved = ", ".join(
-                f"{canon.names[k]} (V{i}: {canon.axes[k, i - 1]:+.4g}, "
-                f"V{j}: {canon.axes[k, j - 1]:+.4g})"
-                for k in active
-            )
-            raise NotTwoVariable(
-                f"pair ({i}, {j}) involves {len(active)} variables, expected 2: {involved}"
-            )
-        found = _positive_branches(canon, i, j, active)
-        if not found:
-            raise NoPositiveBranch(
-                f"pair ({i}, {j}): neither hyperplane sign gives a positive ratio"
-            )
-        rates.extend(found)
-    return rates
+    return [rate for i, j in pairing for rate in _pair_rates(canon, i, j)]
 
 
 def marginal_rates(region: RegionParametrization) -> list[ConversionRate]:
@@ -161,8 +153,7 @@ def marginal_rates(region: RegionParametrization) -> list[ConversionRate]:
     rates: list[ConversionRate] = []
     for col, tag in ((1, "cosh"), (2, "sinh")):
         coefs = region.affine[:, col]
-        floor = ACTIVE_COMPONENT_TOL * max(1.0, float(np.abs(coefs).max()))
-        active = [int(k) for k in np.flatnonzero(np.abs(coefs) > floor)]
+        active = np.flatnonzero(_active(coefs)).tolist()
         for a_pos, v in enumerate(active):
             for w in active[a_pos + 1:]:
                 rates.append(ConversionRate(

@@ -630,6 +630,16 @@ class TestCli:
         assert main(["regions", model_path, "--pair", "2,3", "--t-max", "nan"]) == 2
         assert "InputError" in capsys.readouterr().err
 
+    def test_regions_overflowing_t_max_is_input_error(self, model_path, capsys):
+        assert main(["regions", model_path, "--pair", "2,3", "--t-max", "1000"]) == 2
+        assert "t_max 1000.0 overflows" in one_error_line(capsys, "InputError")
+
+    def test_analyze_at_a_tiny_bound(self, model_path, capsys):
+        assert main(["analyze", model_path, "--pairs", "2,3", "--bound-M", "1e-34",
+                     "--format", "json"]) == 0
+        rates = json.loads(capsys.readouterr().out)["regions"][0]["marginal_rates"]
+        assert rates and all(r["bound"] == 1e-34 for r in rates)
+
     def test_output_files_get_umask_mode(self, eu_model, model_path, tmp_path):
         old = os.umask(0o022)
         try:

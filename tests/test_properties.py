@@ -16,13 +16,16 @@ flip of the variables; the gradient vanishes at the canonical center
 to roundoff. Fits are checked against numpy lstsq: the
 coefficients, and every partial F against an explicit drop-one refit.
 The CSV text must equal a row-by-row ``repr`` rendering byte for byte,
-and the per-point functions must reject a non-finite entry before any
-arithmetic can warn. The eigensolver and the default pairing must
-match, bit for bit, oracles kept here that skip neither the last idle
-Jacobi sweep nor any pair of axes. On spectra graded across the 1e-12
-and 1e-9 cutoffs, with eigenvalues on them and an ulp to either side,
-``solve`` raises exactly when ``small_axes`` finds an axis and names
-those axes, and ``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based.
+and the per-point functions, of the model and of its canonical frame,
+must reject a non-finite entry before any arithmetic can warn.
+Marginal-rate ratios must not move when M is scaled anywhere from the
+smallest subnormal up to the largest bound a region accepts. The
+eigensolver and the default pairing must match, bit for bit, oracles
+kept here that skip neither the last idle Jacobi sweep nor any pair of
+axes. On spectra graded across the 1e-12 and 1e-9 cutoffs, with
+eigenvalues on them and an ulp to either side, ``solve`` raises exactly
+when ``small_axes`` finds an axis and names those axes, and
+``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based.
 """
 
 import io
@@ -192,11 +195,22 @@ def test_non_finite_point_rejected_before_any_arithmetic(model, data):
     point = data.draw(arrays(float, (model.n,), elements=st.floats(-1e300, 1e300)))
     bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     point[data.draw(st.integers(0, model.n - 1))] = bad
-    for fn in (rc.predict_response, rc.evaluate_matrix, rc.gradient, rc.evaluate_terms):
+    calls = [(fn, (model, point), "point")
+             for fn in (rc.predict_response, rc.evaluate_matrix, rc.gradient, rc.evaluate_terms)]
+    try:
+        canon = rc.canonicalize(model)
+    except rc.SingularMatrix:
+        pass
+    else:
+        calls += [(rc.to_canonical, (canon, point), "point"),
+                  (rc.contains, (canon, point, 1e-8), "point"),
+                  (rc.from_canonical, (canon, point), "canonical point"),
+                  (rc.canonical_response, (canon, point), "canonical point")]
+    for fn, args, what in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(rc.DimensionMismatch, match="^point entries must be finite$"):
-                fn(model, point)
+            with pytest.raises(rc.DimensionMismatch, match=f"^{what} entries must be finite$"):
+                fn(*args)
 
 
 @given(dense_model(), st.data())
@@ -454,16 +468,19 @@ def test_jacobi_stops_with_oracle_at_the_threshold(m):
 
 
 def pairing_oracle(canon):
-    """``default_pairing`` without the per-axis prefilter: every pair of
-    opposite-sign axes is tested."""
+    """``default_pairing`` without the per-axis prefilter: every
+    opposite-sign pair for which ``conversion_rates`` raises neither
+    NotTwoVariable nor NoPositiveBranch."""
     out = []
     for i in range(1, canon.n + 1):
         for j in range(i + 1, canon.n + 1):
             if canon.lambdas[i - 1] * canon.lambdas[j - 1] >= 0.0:
                 continue
-            active = tradeoff._active_variables(canon, i, j)
-            if len(active) == 2 and tradeoff._positive_branches(canon, i, j, active):
-                out.append((i, j))
+            try:
+                rc.conversion_rates(canon, [(i, j)])
+            except (rc.NotTwoVariable, rc.NoPositiveBranch):
+                continue
+            out.append((i, j))
     return out
 
 
@@ -502,6 +519,40 @@ def test_pairing_equals_oracle_on_block_axes(canon):
 def test_pairing_equals_oracle_on_dense_axes(case):
     canon = case[0]
     assert tradeoff.default_pairing(canon) == pairing_oracle(canon)
+
+
+def hyperbolic_pairs(canon):
+    lam = canon.lambdas
+    return [(i, j) for i, j in itertools.combinations(range(1, canon.n + 1), 2)
+            if lam[i - 1] * lam[j - 1] < 0.0]
+
+
+def band_rates(canon, i, j, bound):
+    """(from, to, basis) labels and ratios of the band's marginal rates;
+    both empty when no variable pair shares a basis function."""
+    try:
+        rates = rc.marginal_rates(rc.hyperbola_region(canon, i, j, bound))
+    except rc.ZeroCoefficient:
+        return [], []
+    return [(r.from_variable, r.to_variable, r.branch) for r in rates], [r.ratio for r in rates]
+
+
+@given(block_canon().filter(hyperbolic_pairs) | graded_canon().map(lambda case: case[0]),
+       st.data())
+def test_marginal_rates_free_of_scale(canon, data):
+    """The affine coefficients scale by sqrt(M), so the ratios do not
+    depend on M: from the smallest subnormal up to any bound the region
+    accepts, they match those at M = 1e-8."""
+    i, j = data.draw(st.sampled_from(hyperbolic_pairs(canon)), label="pair")
+    bound = max(10.0 ** data.draw(st.integers(-324, 308), label="exponent"), 5e-324)
+    try:
+        labels, ratios = band_rates(canon, i, j, bound)
+    except rc.InputError:  # the semiaxes overflow
+        assert bound > 1e200
+        return
+    want_labels, want = band_rates(canon, i, j, 1e-8)
+    assert labels == want_labels
+    np.testing.assert_allclose(ratios, want, rtol=1e-13)
 
 
 def reject_constant(name):

@@ -1,5 +1,7 @@
 """Conic confidence regions: classification, parametrization, membership."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,18 @@ class TestBoundaryPoints:
                        hyperbola_region(eu_canon, 2, 3, M_IPCC)):
             with pytest.raises(InputError):
                 boundary_points(region, count, t_max)
+
+    @pytest.mark.parametrize("t_max", [705.0, 1000.0, 1e300])
+    def test_overflowing_t_max_rejected_before_numpy_warns(self, eu_canon, t_max):
+        # cosh(705) is finite, but times the largest coefficient it is not
+        band = hyperbola_region(eu_canon, 2, 3, M_IPCC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError,
+                               match=r"^t_max \S+ overflows the samples of hyperbola \(2, 3\)$"):
+                boundary_points(band, 5, t_max)
+            assert len(boundary_points(ellipse_region(eu_canon, 1, 3, M_IPCC), 5, t_max)) == 5
+            assert np.isfinite([x for _, _, x in boundary_points(band, 5, 700.0)]).all()
 
     def test_all_points_contained(self, eu_canon):
         for region in (ellipse_region(eu_canon, 1, 3, M_IPCC),

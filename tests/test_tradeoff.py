@@ -7,6 +7,7 @@ from rsmcanon import (
     CanonicalModel,
     DegeneratePair,
     IndexOutOfRange,
+    InputError,
     NoPositiveBranch,
     NotTwoVariable,
     RegionKind,
@@ -182,6 +183,33 @@ class TestMarginalRates:
         assert rates[("cosh", "Li", "Fl")] == pytest.approx(1.01024, abs=1e-4)
         assert rates[("sinh", "Li", "Fl")] == pytest.approx(0.98986, abs=1e-4)
         assert all(r.bound == M_IPCC for r in marginal_rates(region))
+
+    def test_eu_band_ratios_free_of_scale(self, eu_canon):
+        # the coefficients scale by sqrt(M), so the ratios do not move,
+        # from the smallest subnormal up to the largest bound accepted
+        want = [r.ratio for r in marginal_rates(hyperbola_region(eu_canon, 2, 3, M_IPCC))]
+        bounds = [5e-324] + [10.0 ** k for k in range(-323, 309)]
+        accepted = 0
+        for bound in bounds:
+            try:
+                region = hyperbola_region(eu_canon, 2, 3, bound)
+            except InputError:  # semiaxes overflow; so do all larger bounds
+                break
+            got = [r.ratio for r in marginal_rates(region)]
+            np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=f"M = {bound!r}")
+            accepted += 1
+        assert accepted > 600
+        for bound in bounds[accepted:]:
+            with pytest.raises(InputError, match="overflows the semiaxes"):
+                hyperbola_region(eu_canon, 2, 3, bound)
+
+    def test_tiny_bound_analysis_keeps_the_band_ratios(self, eu_model, eu_canon):
+        want = marginal_rates(hyperbola_region(eu_canon, 2, 3, M_IPCC))
+        got = run_analysis(eu_model, pairs=[(2, 3)], bound=1e-34).regions[0]["marginal_rates"]
+        assert [(r["from"], r["to"], r["basis"]) for r in got] == [
+            (r.from_variable, r.to_variable, r.branch) for r in want]
+        np.testing.assert_allclose([r["ratio"] for r in got], [r.ratio for r in want],
+                                   rtol=1e-13)
 
     def test_ellipse_rejected(self, eu_canon):
         with pytest.raises(WrongKind):
