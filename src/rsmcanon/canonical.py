@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneratePair, IndexOutOfRange, SingularMatrix
-from .linalg import jacobi_eigen, small_axes, solve
-from .model import QuadraticModel, check_point
+from .linalg import check_point, jacobi_eigen, small_axes, solve
+from .model import QuadraticModel
 
 # Eigenvalues within this factor of max|lambda| count as zero.
 ZERO_TOL_FACTOR = 1e-9
@@ -166,7 +166,7 @@ def with_center(canon: CanonicalModel, center) -> CanonicalModel:
     Regions and trade relations are sometimes quoted about a published
     center rather than the computed stationary point; this swaps the
     origin while keeping eigenvalues and axes. The center passes
-    ``model.check_point``, as do the points and canonical coordinates below.
+    ``linalg.check_point``, as do the points and canonical coordinates below.
     """
     c = check_point(center, canon.n, "center").copy()
     c.setflags(write=False)

@@ -51,10 +51,6 @@ class Dataset:
     def rows(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
 
 @dataclass(frozen=True)
 class TermStat:

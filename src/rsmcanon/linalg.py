@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,17 @@ class SymMatrix:
         return self.array @ other
 
 
+def check_point(point, n: int, what: str = "point") -> np.ndarray:
+    """``point`` as a float array; DimensionMismatch naming ``what``
+    unless it has shape (n,) and n finite entries."""
+    x = np.asarray(point, dtype=float)
+    if x.shape != (n,):
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({n},)")
+    if not all(map(math.isfinite, x.tolist())):
+        raise DimensionMismatch(f"{what} entries must be finite")
+    return x
+
+
 def as_sym_matrix(matrix) -> SymMatrix:
     """Coerce an array-like (or pass through a SymMatrix)."""
     if isinstance(matrix, SymMatrix):
@@ -93,7 +105,7 @@ class EigenDecomposition:
         return (self.vectors * self.lambdas) @ self.vectors.T
 
 
-def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
+def jacobi_eigen(matrix) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by Jacobi rotations.
 
     Indices are first ordered by descending |a_pp|. Each sweep runs the
@@ -109,9 +121,9 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecompo
     change the matrix, so a sweep's first rotating step sees it as the
     sweep began.
 
-    Raises NonConvergence if a sweep after the first ``max_sweeps``
-    would still rotate, which signals pathological input; any finite
-    symmetric matrix of this size converges in a handful of sweeps.
+    Raises NonConvergence if a sweep after the first JACOBI_MAX_SWEEPS,
+    read at call time, would still rotate: pathological input, as any
+    finite symmetric matrix of this size converges in a handful of sweeps.
     """
     source = as_sym_matrix(matrix)
     n = source.n
@@ -126,9 +138,9 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecompo
         root = np.sqrt(np.abs(g[1:]))
         if not (np.abs(g[0]) > JACOBI_TOL * root[0] * root[1]).any():
             break
-        if sweep >= max_sweeps:
+        if sweep >= JACOBI_MAX_SWEEPS:
             raise NonConvergence(f"off-diagonal entries above {JACOBI_TOL:g} sqrt|a_pp a_qq| "
-                                 f"after {max_sweeps} sweeps")
+                                 f"after {JACOBI_MAX_SWEEPS} sweeps")
         for gather, scatter in _wavefront(n):
             apq, app, aqq = g = av.take(gather)
             root = np.sqrt(np.abs(g[1:]))
@@ -200,12 +212,10 @@ def small_axes(lambdas, factor: float) -> np.ndarray:
 
 
 def solve(matrix, rhs) -> np.ndarray:
-    """Solve S x = b for symmetric S without forming an explicit inverse;
-    SingularMatrix names the ``small_axes`` of S at DEFAULT_COND_TOL, 1-based."""
+    """Solve S x = b for symmetric S, b passing ``check_point``, without an explicit
+    inverse; SingularMatrix names the ``small_axes`` of S at DEFAULT_COND_TOL, 1-based."""
     source = as_sym_matrix(matrix)
-    b = np.asarray(rhs, dtype=float)
-    if b.shape != (source.n,):
-        raise DimensionMismatch(f"right-hand side has shape {b.shape}, expected ({source.n},)")
+    b = check_point(rhs, source.n, "right-hand side")
     eig = jacobi_eigen(source)
     small = small_axes(eig.lambdas, DEFAULT_COND_TOL)
     if small.size:

@@ -19,10 +19,10 @@ factors are expected to be applied before construction.
 This module owns the term rule: a term has 1 or 2 sorted int indices,
 each in [0, n), and no two terms share them. ``ModelTerm`` sorts and
 counts its own; ``check_terms`` tests range and duplicates for both
-``build_model`` and ``fitting.ols_fit``. It owns the point rule too:
-``check_point`` (shape (n,), n finite entries) runs before any
-arithmetic in every per-point function here and in ``canonical``, so
-in ``regions.contains`` as well.
+``build_model`` and ``fitting.ols_fit``. The point rule is
+``linalg.check_point`` (shape (n,), n finite entries); it runs before
+any arithmetic in every per-point function here and in ``canonical``,
+so in ``regions.contains`` as well.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, DuplicateTerm, IndexOutOfRange
-from .linalg import SymMatrix
+from .linalg import SymMatrix, check_point
 
 
 @dataclass(frozen=True)
@@ -166,17 +166,6 @@ def build_model(terms, intercept: float, exponent: float, names,
         exponent=exponent,
         response_label=response_label,
     )
-
-
-def check_point(point, n: int, what: str = "point") -> np.ndarray:
-    """``point`` as a float array; DimensionMismatch naming ``what``
-    unless it has shape (n,) and n finite entries."""
-    x = np.asarray(point, dtype=float)
-    if x.shape != (n,):
-        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({n},)")
-    if not all(map(math.isfinite, x.tolist())):
-        raise DimensionMismatch(f"{what} entries must be finite")
-    return x
 
 
 def evaluate_matrix(model: QuadraticModel, point) -> float:

@@ -16,8 +16,8 @@ Here M is a deterministic band on the transformed response, not a
 probabilistic coverage set. M must be positive and finite;
 ``check_bound`` is the one test of that, and NonPositiveBound its error.
 ``_sample`` is the one test of ``t_max``: it must be positive and
-finite, and cosh(t_max) times a hyperbola's largest semiaxis or affine
-coefficient must not overflow. Ellipses do not use it.
+finite, and the samples must not overflow, checked in their arithmetic
+under ``np.errstate(over="raise")``. Ellipses check overflow, not t_max.
 
 ``region`` builds a pair's region with ``ellipse_region`` or
 ``hyperbola_region`` as ``region_kind`` dictates; a pair is usable when
@@ -175,23 +175,20 @@ def _sample(region: RegionParametrization, count: int, t_max: float,
     if region.kind.is_elliptical:
         t = (np.linspace(0.0, 2.0 * np.pi, count) if closed
              else 2.0 * np.pi * np.arange(count) / count)
-        r, c1, c2 = np.ones(count), np.cos(t), np.sin(t)
+        r = np.ones(count)
     else:
-        # cosh(t_max) bounds |cosh t| and |sinh t|; tested in Python
-        # floats, so no numpy overflow warning comes before the error
-        top = np.abs(region.affine).max(axis=0).tolist()
-        try:
-            reach = math.cosh(t_max) * max(*region.semiaxes, top[1] + top[2]) + top[0]
-        except OverflowError:
-            reach = math.inf
-        if not math.isfinite(reach):
-            raise InputError(f"t_max {t_max!r} overflows the samples of hyperbola {region.pair}")
         t = np.tile(np.linspace(-t_max, t_max, count), 1 + closed)
         r = np.repeat((1.0, -1.0)[:1 + closed], count)
-        c1, c2 = r * np.cosh(t), r * np.sinh(t)
     a = region.affine
-    x = a[:, 0] + a[:, 1] * c1[:, None] + a[:, 2] * c2[:, None]
-    return t, r, np.column_stack([region.semiaxes[0] * c1, region.semiaxes[1] * c2]), x
+    try:
+        with np.errstate(over="raise"):
+            c1, c2 = (r * getattr(np, name)(t) for name in region.basis)
+            x = a[:, 0] + a[:, 1] * c1[:, None] + a[:, 2] * c2[:, None]
+            return t, r, np.column_stack([region.semiaxes[0] * c1, region.semiaxes[1] * c2]), x
+    except FloatingPointError:
+        raise InputError(f"t_max {t_max!r} overflows the samples of hyperbola {region.pair}"
+                         if region.unbounded else
+                         f"the samples of ellipse {region.pair} overflow") from None
 
 
 def boundary_points(region: RegionParametrization, count: int,

@@ -10,7 +10,7 @@ shortest-round-trip repr) and byte-identical text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .canonical import ZERO_TOL_FACTOR, CanonicalModel, canonicalize, with_center
@@ -33,20 +33,58 @@ class AnalysisReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "eigen": self.eigen,
-            "canonical": self.canonical,
-            "regions": self.regions,
-            "tradeoff": self.tradeoff,
-            "provenance": self.provenance,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
-        return render_text(self)
+        """Fixed-format human-readable rendering of the report."""
+        out: list[str] = []
+        m = self.model
+        out.append(f"Model: {m['response_label']} ** {m['exponent']:g} over variables "
+                   + ", ".join(m["variables"]))
+        out.append(f"  intercept {m['intercept']:.9g}")
+        out.append("")
+        out.append("Canonical axes (descending |eigenvalue|):")
+        for k, lam in enumerate(self.eigen["eigenvalues"], start=1):
+            label = self.eigen["axis_labels"][f"z{k}"]
+            out.append(f"  z{k}: eigenvalue {lam:.9g}   z{k} ~ {label}")
+        c = self.canonical
+        out.append("")
+        out.append(f"Stationary point ({c['kind']}):")
+        for name, value in zip(m["variables"], c["center"]):
+            out.append(f"  {name:>8} = {value:.9g}")
+        out.append(f"  Y0 = {c['y0']:.9g}")
+        for section in self.regions:
+            i, j = section["pair"]
+            out.append("")
+            out.append(f"Region (z{i}, z{j}) at |Y - Y0| <= {section['bound']:g}: "
+                       f"{section['kind']}" + (" [unbounded band]" if section["unbounded"] else ""))
+            b1, b2 = section["basis"]
+            a1, a2 = section["semiaxes"]
+            out.append(f"  z{i} = {a1:.6f} r {b1}(t),  z{j} = {a2:.6f} r {b2}(t)")
+            for row in section["affine"]:
+                out.append(f"  {row['variable']:>8} = {row['center']:.6f} "
+                           f"{row[b1]:+.6f} {b1}(t) {row[b2]:+.6f} {b2}(t)")
+            for row in section.get("max_intervals", []):
+                out.append(f"  |{row['variable']} - {row['center']:.6f}| <= {row['half_width']:.6f}")
+            for row in section.get("marginal_rates", []):
+                out.append(f"  {row['basis']}-linked: {row['from']} = {row['ratio']:.6g} {row['to']}")
+        t = self.tradeoff
+        out.append("")
+        out.append("Iso-response relations (M = 0):")
+        for entry in t["iso_slopes"]:
+            i, j = entry["pair"]
+            out.append(f"  z{i} = +-{entry['slope']:.9g} z{j}")
+        for entry in t["conversion_rates"]:
+            out.append(f"  {entry['from']} = {entry['ratio']:.6g} {entry['to']}"
+                       f"   [branch {entry['branch']}]")
+        p = self.provenance
+        out.append("")
+        out.append(f"rsmcanon {p['version']}  digest "
+                   f"{p['model_digest_sha256'] or '-'}  bound {p['bound']:g}")
+        return "\n".join(out) + "\n"
 
 
 def _region_section(canon: CanonicalModel, i: int, j: int, bound: float) -> dict:
@@ -179,52 +217,3 @@ def _staged(stage: str, fn, *args):
         if exc.args and not str(exc.args[0]).startswith(f"[{stage}] "):
             exc.args = (f"[{stage}] {exc.args[0]}",) + exc.args[1:]
         raise
-
-
-def render_text(report: AnalysisReport) -> str:
-    """Fixed-format human-readable rendering of a report."""
-    out: list[str] = []
-    m = report.model
-    out.append(f"Model: {m['response_label']} ** {m['exponent']:g} over variables "
-               + ", ".join(m["variables"]))
-    out.append(f"  intercept {m['intercept']:.9g}")
-    out.append("")
-    out.append("Canonical axes (descending |eigenvalue|):")
-    for k, lam in enumerate(report.eigen["eigenvalues"], start=1):
-        label = report.eigen["axis_labels"][f"z{k}"]
-        out.append(f"  z{k}: eigenvalue {lam:.9g}   z{k} ~ {label}")
-    c = report.canonical
-    out.append("")
-    out.append(f"Stationary point ({c['kind']}):")
-    for name, value in zip(m["variables"], c["center"]):
-        out.append(f"  {name:>8} = {value:.9g}")
-    out.append(f"  Y0 = {c['y0']:.9g}")
-    for section in report.regions:
-        i, j = section["pair"]
-        out.append("")
-        out.append(f"Region (z{i}, z{j}) at |Y - Y0| <= {section['bound']:g}: "
-                   f"{section['kind']}" + (" [unbounded band]" if section["unbounded"] else ""))
-        b1, b2 = section["basis"]
-        a1, a2 = section["semiaxes"]
-        out.append(f"  z{i} = {a1:.6f} r {b1}(t),  z{j} = {a2:.6f} r {b2}(t)")
-        for row in section["affine"]:
-            out.append(f"  {row['variable']:>8} = {row['center']:.6f} "
-                       f"{row[b1]:+.6f} {b1}(t) {row[b2]:+.6f} {b2}(t)")
-        for row in section.get("max_intervals", []):
-            out.append(f"  |{row['variable']} - {row['center']:.6f}| <= {row['half_width']:.6f}")
-        for row in section.get("marginal_rates", []):
-            out.append(f"  {row['basis']}-linked: {row['from']} = {row['ratio']:.6g} {row['to']}")
-    t = report.tradeoff
-    out.append("")
-    out.append("Iso-response relations (M = 0):")
-    for entry in t["iso_slopes"]:
-        i, j = entry["pair"]
-        out.append(f"  z{i} = +-{entry['slope']:.9g} z{j}")
-    for entry in t["conversion_rates"]:
-        out.append(f"  {entry['from']} = {entry['ratio']:.6g} {entry['to']}"
-                   f"   [branch {entry['branch']}]")
-    p = report.provenance
-    out.append("")
-    out.append(f"rsmcanon {p['version']}  digest "
-               f"{p['model_digest_sha256'] or '-'}  bound {p['bound']:g}")
-    return "\n".join(out) + "\n"

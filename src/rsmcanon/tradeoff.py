@@ -151,7 +151,7 @@ def marginal_rates(region: RegionParametrization) -> list[ConversionRate]:
     if region.kind.is_elliptical:
         raise WrongKind("marginal rates are defined for hyperbolic regions only")
     rates: list[ConversionRate] = []
-    for col, tag in ((1, "cosh"), (2, "sinh")):
+    for col, tag in enumerate(region.basis, start=1):
         coefs = region.affine[:, col]
         active = np.flatnonzero(_active(coefs)).tolist()
         for a_pos, v in enumerate(active):

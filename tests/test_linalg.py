@@ -30,6 +30,7 @@ from rsmcanon import (
     jacobi_eigen,
     solve,
 )
+import rsmcanon.linalg as linalg
 from rsmcanon.canonical import ZERO_TOL_FACTOR
 from rsmcanon.linalg import DEFAULT_COND_TOL, _wavefront, small_axes
 
@@ -187,12 +188,14 @@ class TestJacobiEigen:
         assert np.array_equal(from_raw.lambdas, from_sym.lambdas)
         assert np.array_equal(from_raw.vectors, from_sym.vectors)
 
-    def test_non_convergence_signalled(self):
+    def test_non_convergence_signalled(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(NonConvergence):
-            jacobi_eigen([[1.0, 2.0], [2.0, -1.0]], max_sweeps=0)
+            jacobi_eigen([[1.0, 2.0], [2.0, -1.0]])
 
-    def test_diagonal_input_needs_no_sweep(self):
-        eig = jacobi_eigen(np.diag([3.0, -1.0, 1e-300, 0.0]), max_sweeps=0)
+    def test_diagonal_input_needs_no_sweep(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+        eig = jacobi_eigen(np.diag([3.0, -1.0, 1e-300, 0.0]))
         np.testing.assert_array_equal(eig.lambdas, [3.0, -1.0, 1e-300, 0.0])
 
     @pytest.mark.parametrize("definite", [False, True])
@@ -257,8 +260,9 @@ class TestJacobiEigen:
 
     @pytest.mark.parametrize("matrix", [np.zeros((3, 3)), np.diag([3.0, -1.0, 1e-300, 0.0]),
                                         np.eye(1)], ids=["zero", "diagonal", "1x1"])
-    def test_no_sweep_and_no_rotation_counted(self, matrix):
-        eig = jacobi_eigen(matrix, max_sweeps=0)
+    def test_no_sweep_and_no_rotation_counted(self, matrix, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+        eig = jacobi_eigen(matrix)
         assert (eig.sweeps, eig.rotations) == (0, 0)
 
     def test_sweeps_and_rotations_counted(self):

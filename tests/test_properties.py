@@ -197,6 +197,7 @@ def test_non_finite_point_rejected_before_any_arithmetic(model, data):
     point[data.draw(st.integers(0, model.n - 1))] = bad
     calls = [(fn, (model, point), "point")
              for fn in (rc.predict_response, rc.evaluate_matrix, rc.gradient, rc.evaluate_terms)]
+    calls.append((rc.solve, (model.interaction, point), "right-hand side"))
     try:
         canon = rc.canonicalize(model)
     except rc.SingularMatrix:
@@ -440,13 +441,15 @@ def threshold_edge(draw):
 
 
 def assert_matches_oracle(m, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
-    try:
-        want = jacobi_oracle(m, max_sweeps)
-    except rc.NonConvergence:
-        with pytest.raises(rc.NonConvergence):
-            rc.jacobi_eigen(m, max_sweeps=max_sweeps)
-        return
-    eig = rc.jacobi_eigen(m, max_sweeps=max_sweeps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "JACOBI_MAX_SWEEPS", max_sweeps)
+        try:
+            want = jacobi_oracle(m, max_sweeps)
+        except rc.NonConvergence:
+            with pytest.raises(rc.NonConvergence):
+                rc.jacobi_eigen(m)
+            return
+        eig = rc.jacobi_eigen(m)
     assert eig.lambdas.tobytes() == want[0].tobytes()
     assert eig.vectors.tobytes() == want[1].tobytes()
     assert (eig.sweeps, eig.rotations) == want[2:]

@@ -11,6 +11,7 @@ from rsmcanon import (
     InputError,
     NonPositiveBound,
     RegionKind,
+    RegionParametrization,
     WrongKind,
     boundary_points,
     contains,
@@ -205,7 +206,18 @@ class TestBoundaryPoints:
                                match=r"^t_max \S+ overflows the samples of hyperbola \(2, 3\)$"):
                 boundary_points(band, 5, t_max)
             assert len(boundary_points(ellipse_region(eu_canon, 1, 3, M_IPCC), 5, t_max)) == 5
-            assert np.isfinite([x for _, _, x in boundary_points(band, 5, 700.0)]).all()
+            # (1, 4) has samples near the float limit at 700 that do not overflow
+            for edge in (band, hyperbola_region(eu_canon, 1, 4, M_IPCC)):
+                assert np.isfinite([x for _, _, x in boundary_points(edge, 5, 700.0)]).all()
+
+    def test_overflowing_ellipse_samples_rejected_before_numpy_warns(self):
+        ellipse = RegionParametrization(
+            pair=(1, 2), bound=1.0, kind=RegionKind.ELLIPTICAL_MAXIMUM, semiaxes=(1.0, 1.0),
+            names=("x",), affine=np.array([[1.5e308, 1e308, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"^the samples of ellipse \(1, 2\) overflow$"):
+                boundary_points(ellipse, 4)
 
     def test_all_points_contained(self, eu_canon):
         for region in (ellipse_region(eu_canon, 1, 3, M_IPCC),
