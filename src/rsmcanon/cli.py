@@ -4,7 +4,7 @@ Subcommands: ``analyze`` (model -> report), ``regions`` (model ->
 boundary-sample CSV), ``tradeoff`` (model -> exchange rates), ``fit``
 (emissions CSV -> model JSON), ``predict`` (model + point -> natural
 response). Exit status: 0 on success, 2 for input errors, 3 for
-numerical failures.
+numerical failures, numpy overflow and invalid operations included.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .canonical import canonicalize, with_center
-from .errors import InputError, RsmError
+from .errors import InputError, NumericalError, RsmError
 from .fitting import Dataset, ols_fit
 from .model import predict_response
 from .modelio import (
@@ -213,7 +213,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:  # numpy arithmetic that no library check caught
+        sys.stderr.write(f"rsmcanon: NumericalError: {exc}\n")
+        return NumericalError.exit_code
     except RsmError as exc:
         # a stage-tagged message already starts with "[stage] "
         sys.stderr.write(f"rsmcanon: {type(exc).__name__}: {exc}\n")

@@ -10,6 +10,9 @@ only rotations change the matrix). Order and sign convention are fixed:
 identical inputs give bit-identical output on one platform with
 a fixed BLAS thread count, and across thread counts up to n = 64.
 Everything here is scale-free; physical units live in the model layer.
+This lowest layer owns the finite-input rules that every module uses:
+``SymMatrix`` takes a square matrix of finite entries, and
+``check_point`` a vector of shape (n,) with n finite entries.
 
 One rule says when an eigenvalue counts as zero: ``small_axes`` marks
 axis k when |lambda_k| <= factor * max|lambda|. ``solve`` and the fit

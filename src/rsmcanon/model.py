@@ -91,6 +91,8 @@ class QuadraticModel:
                 f"names/linear/interaction sizes disagree: "
                 f"{len(self.names)}, {beta.shape}, {self.interaction.n}"
             )
+        if len(set(self.names)) != len(self.names):
+            raise DimensionMismatch(f"duplicate variable names in {tuple(self.names)}")
         intercept = float(self.intercept)
         if not np.all(np.isfinite(beta)) or not math.isfinite(intercept):
             raise DimensionMismatch("model coefficients must be finite")
@@ -200,7 +202,7 @@ def predict_response(model: QuadraticModel, point) -> float:
 
     For p < 0 the prediction is monotone decreasing in Y, so a smaller
     transformed value means a larger natural response. Raises
-    DomainError when the inverse power is undefined over the reals.
+    DomainError unless Y is finite and has a real inverse power.
     """
     y = evaluate_matrix(model, point)
     return invert_transform(y, model.exponent)
@@ -215,13 +217,13 @@ def reciprocal_exponent(exponent: float) -> float:
 
 
 def invert_transform(value: float, exponent: float) -> float:
-    """Map a transformed response back to natural units."""
+    """Map a finite transformed response back to natural units."""
     inv = reciprocal_exponent(exponent)
-    if value > 0.0:
+    if 0.0 < value < math.inf:
         return float(value ** inv)
     if value == 0.0 and inv > 0.0:
         return 0.0
-    if value < 0.0 and inv == int(inv) and int(inv) % 2 != 0:
+    if -math.inf < value < 0.0 and inv == int(inv) and int(inv) % 2 != 0:
         return float(-((-value) ** inv))
     raise DomainError(
         f"transformed value {value!r} has no real inverse under exponent {exponent!r}"

@@ -294,8 +294,8 @@ def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFA
     Columns: ``param,r,z_<i>,z_<j>,<variable names...>``. Ellipses emit
     ``count`` rows tracing a closed curve (the last row equals the first
     up to rounding); hyperbolas emit ``count`` rows per branch (r = +1,
-    then r = -1), 2*count in total. Raises InputError for count < 2 or a
-    t_max that is not positive and finite.
+    then r = -1), 2*count in total. Raises InputError for count < 2, a
+    t_max that is not positive and finite, or samples that overflow.
 
     The r = -1 rows reuse the r = +1 ``repr`` strings of param and z,
     flipping the sign of z by string (0.0 gives -0.0). That is exact:

@@ -143,6 +143,7 @@ class TestClassify:
         kind = classify([1.0, 1e-15])
         assert kind.label == "degenerate"
         assert kind.degenerate_axes == (2,)
+        assert str(kind) == "degenerate (z2)"
 
     def test_just_above_cutoff_is_not_degenerate(self):
         assert classify([1.0, 1.1e-9]).label == "minimum"

@@ -35,6 +35,24 @@ def synthetic_dataset(coef, terms, rows=40, seed=RNG_SEED, noise=0.0, names=("a"
     return Dataset(X=x, y=y, names=names)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("x, y, match", [
+        (np.ones((3, 2)), np.ones(3), r"X has shape \(3, 2\), expected \(rows, 3\)"),
+        (np.ones(3), np.ones(3), r"X has shape \(3,\), expected \(rows, 3\)"),
+        (np.ones((3, 3)), np.ones(2), r"y has shape \(2,\), expected \(3,\)"),
+        (np.diag([1.0, np.nan, 1.0]), np.ones(3), "dataset entries must be finite"),
+        (np.ones((3, 3)), [1.0, -np.inf, 1.0], "dataset entries must be finite"),
+    ])
+    def test_shape_and_finiteness_checked(self, x, y, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            Dataset(X=x, y=y, names=("a", "b", "c"))
+
+    def test_repeated_names_rejected_by_the_fit(self):
+        d = synthetic_dataset([1.0, 2.0], [(0,)], names=("a", "b", "a"))
+        with pytest.raises(DimensionMismatch, match="duplicate variable names"):
+            ols_fit(d, [(0,)], exponent=1.0)
+
+
 class TestTermRule:
     """The fit takes the term rule of ``build_model``."""
 

@@ -54,6 +54,13 @@ def assert_tree_close(got, want, path="$", floor=0.0):
         assert got == want, path
 
 
+def model_doc(**fields):
+    """A one-variable model document with ``fields`` replaced; None drops a key."""
+    doc = {"variables": ["x"], "exponent": 1.0, "intercept": 0.0, "terms": []}
+    doc.update(fields)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
 class TestModelFiles:
     def test_bundled_eu_values(self, eu_model):
         assert eu_model.names == ("Li", "Ga", "Fl", "Bu")
@@ -81,6 +88,8 @@ class TestModelFiles:
         assert np.array_equal(again.linear, eu_model.linear)
         assert np.array_equal(again.interaction.array, eu_model.interaction.array)
         assert rc.load_model_document(path)["reference_f_values"] == {"Ga": 197.22}
+        with pytest.raises(rc.SchemaError, match="metadata keys must start with 'reference_'"):
+            rc.save_model(eu_model, path, metadata={"note": "x"})
 
     def test_empty_terms_is_zero_model(self, tmp_path):
         path = tmp_path / "zero.json"
@@ -162,6 +171,21 @@ class TestModelFiles:
         with contextlib.redirect_stderr(err):
             assert main(["analyze", str(path)]) == 2
         assert err.getvalue().startswith(f"rsmcanon: ParseError: {path}: ")
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "top level must be an object"),
+        (model_doc(terms=None), "missing required key 'terms'"),
+        (model_doc(variables=[]), "'variables' must be a non-empty list of names"),
+        (model_doc(variables=["x", "x"]), "duplicate variable names"),
+        (model_doc(terms={}), "'terms' must be a list"),
+        (model_doc(terms=[{"vars": [], "coef": 1.0}]), "term 0: needs 1 or 2 variables, got 0"),
+        (model_doc(terms=[{"vars": ["x"] * 3, "coef": 1.0}]), "term 0: needs 1 or 2 variables, got 3"),
+    ])
+    def test_schema_error_names_file_and_rule(self, tmp_path, doc, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(rc.SchemaError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            rc.load_model(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -287,6 +311,16 @@ class TestEmissions:
         table, totals = rc.load_emissions(path)
         assert len(table.rows) == 2 and table.rejected == ()
         np.testing.assert_array_equal(totals.values, [[6.0, 8.0, 10.0, 12.0]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        (EMISSIONS_HEADER + "\n20x0,Austria,1,1,1,1,316.0\n", "line 2, column 'year': '20x0'"),
+    ])
+    def test_unreadable_file_names_the_problem(self, tmp_path, text, message):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with pytest.raises(rc.ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            rc.load_emissions(path)
 
     def test_short_row_names_cell_count(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -416,6 +450,8 @@ class TestReport:
         section = report.regions[0]
         assert section["unbounded"]
         assert any(r["basis"] == "sinh" for r in section["marginal_rates"])
+        linked = [line for line in report.to_text().splitlines() if "-linked: " in line]
+        assert len(linked) == len(section["marginal_rates"])
 
     def test_zero_quadratic_model_surfaces_singularity(self):
         flat = rc.build_model([rc.ModelTerm((0,), 1.0)], 0.0, 1.0, ("x", "y"))
@@ -551,6 +587,10 @@ class TestCli:
     def test_predict(self, model_path, capsys):
         assert main(["predict", model_path, "--at", "0,0,0,0"]) == 0
         assert capsys.readouterr().out.startswith("307.19")
+
+    def test_predict_overflow_is_numerical_error(self, model_path, capsys):
+        assert main(["predict", model_path, "--at", "1e200,0,0,0"]) == 3
+        assert "overflow encountered" in one_error_line(capsys, "NumericalError")
 
     def test_fit_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
@@ -696,6 +736,25 @@ class TestInputChecks:
         assert "'19x4'" in one_error_line(capsys, "InputError")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["regions", "{model}", "--pair", "1,x"], "pair '1,x' must contain integers"),
+        (["predict", "{model}", "--at", "1,x,0,0"], "expected comma-separated numbers"),
+        (["fit", "{co2}", "--terms", "Li,Li:Xx"], "unknown variable 'Xx' in term 'Li:Xx'"),
+        (["fit", "{co2}", "--terms", " , "], "no terms given"),
+        (["fit", "{bare}", "--terms", "Li"], "no rows carry a co2_ppmv response"),
+    ])
+    def test_malformed_arguments(self, model_path, tmp_path, capsys, args, message):
+        write_emissions(tmp_path / "co2.csv", noisy_emissions_rows())
+        write_emissions(tmp_path / "bare.csv", ["2000,Austria,1,2,3,4"],
+                        header=EMISSIONS_HEADER.removesuffix(",co2_ppmv"))
+        out = tmp_path / "fit.json"
+        paths = {"model": model_path, "co2": tmp_path / "co2.csv", "bare": tmp_path / "bare.csv"}
+        if args[0] == "fit":
+            args = args + ["--exponent", "1.0", "-o", str(out)]
+        assert main([arg.format(**paths) for arg in args]) == 2
+        assert message in one_error_line(capsys, "InputError")
+        assert not out.exists()
+
     @pytest.mark.parametrize("terms, name", [
         ("Li,Li", "DuplicateTerm"),
         ("Li,Li:Ga,Ga:Li", "DuplicateTerm"),
@@ -750,6 +809,19 @@ class TestAtomicWrite:
         assert path.stat().st_ino != inode
         assert path.read_bytes() == new.encode()
         assert path.stat().st_mode & 0o777 == 0o644
+
+    @pytest.mark.parametrize("unlink_fails", [False, True])
+    def test_failed_rename_is_raised_after_cleanup(self, tmp_path, monkeypatch, unlink_fails):
+        def refuse(*paths):
+            raise OSError(f"refused {len(paths)}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        if unlink_fails:
+            monkeypatch.setattr(os, "unlink", refuse)
+        with pytest.raises(OSError, match="^refused 2$"):  # the rename's error, not unlink's
+            atomic_write(tmp_path / "out.csv", "a,b\n")
+        left = [p.name for p in tmp_path.iterdir()]
+        assert len(left) == unlink_fails and all(n.startswith(".tmp-") for n in left)
 
     def test_symlink_is_replaced_by_a_file(self, tmp_path):
         target, path = tmp_path / "target.csv", tmp_path / "out.csv"

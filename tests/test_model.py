@@ -76,6 +76,19 @@ class TestBuildModel:
         with pytest.raises(DimensionMismatch, match="matrix entries must be finite"):
             build_model([ModelTerm((0, 1), value)], 0.0, 1.0, ("x", "y"))
 
+    @pytest.mark.parametrize("names, linear, match", [
+        (("x", "y"), np.zeros(3), r"sizes disagree: 2, \(3,\), 2"),
+        (("x", "x"), np.zeros(2), r"duplicate variable names in \('x', 'x'\)"),
+    ])
+    def test_names_and_fields_must_agree(self, names, linear, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            QuadraticModel(names, 0.0, linear, SymMatrix(np.eye(2)), 1.0)
+
+    def test_repeated_names_rejected(self):
+        # save_model would write them to a file that load_model refuses
+        with pytest.raises(DimensionMismatch, match="duplicate variable names"):
+            build_model([ModelTerm((0, 1), 1.0)], 0.0, 1.0, ("x", "x"))
+
     def test_scalars_stored_as_floats(self):
         m = QuadraticModel(("x",), 1, np.zeros(1), SymMatrix([[0.0]]), np.int64(2))
         assert type(m.intercept) is float and type(m.exponent) is float
@@ -197,6 +210,23 @@ class TestPredictResponse:
     def test_monotone_decreasing_for_negative_exponent(self):
         lo, hi = invert_transform(1e-6, -2.376), invert_transform(2e-6, -2.376)
         assert lo > hi
+
+    @pytest.mark.parametrize("value, exponent, natural", [
+        (0.0, 2.0, 0.0), (-5.0, 1.0, -5.0), (-8.0, 1.0 / 3.0, -512.0)])
+    def test_zero_and_odd_roots_invert(self, value, exponent, natural):
+        assert invert_transform(value, exponent) == natural
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_transformed_value_rejected(self, value):
+        for exponent in (-2.376, 1.0, 1.0 / 3.0):
+            with pytest.raises(DomainError, match="has no real inverse"):
+                invert_transform(value, exponent)
+
+    def test_overflowing_point_rejected(self, eu_model):
+        # X'BX overflows to inf, which the negative exponent would map to 0.0
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="transformed value inf"):
+                predict_response(eu_model, [1e200, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("exponent", [0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310])
     def test_exponent_without_finite_reciprocal_rejected(self, exponent):

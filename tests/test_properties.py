@@ -31,6 +31,7 @@ when ``small_axes`` finds an axis and names those axes, and
 import io
 import itertools
 import json
+import math
 import sys
 import warnings
 
@@ -219,6 +220,29 @@ def test_evaluate_matrix_adds_as_numpy_does(model, data):
     x = data.draw(arrays(float, (model.n,), elements=st.floats(-1e6, 1e6)))
     b0, beta, b = model.intercept, model.linear, model.interaction.array
     assert rc.evaluate_matrix(model, x).hex() == float(b0 + beta @ x + x @ (b @ x)).hex()
+
+
+@given(base=st.one_of(dense_model(), graded_model().map(lambda case: case[0])), data=st.data())
+def test_every_model_build_model_accepts_round_trips_through_a_file(tmp_path_factory, base, data):
+    names = data.draw(st.lists(st.text(max_size=3), min_size=base.n, max_size=base.n,
+                               unique=True))
+    if data.draw(st.integers(0, 7)) == 0:
+        names[-1] = names[0]
+    intercept, exponent = data.draw(st.floats()), data.draw(st.floats(-10.0, 10.0) | st.floats())
+    label = data.draw(st.text(max_size=5))
+    try:
+        model = rc.build_model(base.terms, intercept, exponent, names, label)
+    except (rc.DimensionMismatch, rc.DomainError):
+        assert len(set(names)) < len(names) or not math.isfinite(intercept) or not (
+            math.isfinite(exponent) and exponent != 0.0 and math.isfinite(1.0 / exponent))
+        return
+    path = tmp_path_factory.mktemp("round_trip") / "model.json"
+    rc.save_model(model, path)
+    back = rc.load_model(path)
+    assert (back.names, back.response_label) == (model.names, model.response_label)
+    assert (back.exponent, back.intercept) == (model.exponent, model.intercept)
+    assert back.linear.tobytes() == model.linear.tobytes()
+    assert back.interaction.array.tobytes() == model.interaction.array.tobytes()
 
 
 @st.composite
