@@ -227,7 +227,7 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
         if not has_co2 and header != expected:
             raise ParseError(f"{path}: header {header} does not match {expected}[,co2_ppmv]")
         for line_no, record in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in record):
+            if not "".join(record).strip():  # every cell blank
                 continue
             if len(record) != len(header):
                 raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells")
