@@ -78,7 +78,8 @@ class CanonicalModel:
 
     ``axes`` holds the orthonormal eigenvectors as columns, ordered by
     descending |lambda| alongside ``lambdas``. ``y0`` is the
-    transformed response at the center.
+    transformed response at the center. ``kind`` is derived from
+    ``lambdas`` by ``classify``, so it cannot contradict them.
     """
 
     names: tuple[str, ...]
@@ -86,11 +87,14 @@ class CanonicalModel:
     y0: float
     lambdas: np.ndarray
     axes: np.ndarray
-    kind: StationaryKind
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @property
+    def kind(self) -> StationaryKind:
+        return classify(self.lambdas)
 
     def axis_label(self, k: int) -> str:
         """Readable form of z_k over its dominant original variables.
@@ -138,7 +142,6 @@ def canonicalize(model: QuadraticModel) -> CanonicalModel:
         y0=y0,
         lambdas=eig.lambdas,
         axes=eig.vectors,
-        kind=classify(eig.lambdas),
     )
 
 
@@ -153,7 +156,8 @@ def check_pair(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
     for k in (i, j):
         if not 1 <= k <= canon.n:
             raise IndexOutOfRange(f"canonical axis {k} outside 1..{canon.n}")
-    bad = [k for k in (i, j) if k in degenerate_axes(canon.lambdas)]
+    degenerate = degenerate_axes(canon.lambdas)
+    bad = [k for k in (i, j) if k in degenerate]
     if bad:
         raise DegeneratePair(f"canonical axes {bad} have |eigenvalue| <= "
                              f"{ZERO_TOL_FACTOR:g} max|eigenvalue|")

@@ -217,14 +217,18 @@ def reciprocal_exponent(exponent: float) -> float:
 
 
 def invert_transform(value: float, exponent: float) -> float:
-    """Map a finite transformed response back to natural units."""
+    """Map a finite transformed response back to natural units (DomainError on overflow)."""
     inv = reciprocal_exponent(exponent)
-    if 0.0 < value < math.inf:
-        return float(value ** inv)
-    if value == 0.0 and inv > 0.0:
-        return 0.0
-    if -math.inf < value < 0.0 and inv == int(inv) and int(inv) % 2 != 0:
-        return float(-((-value) ** inv))
+    try:
+        if 0.0 < value < math.inf:
+            return float(value ** inv)
+        if value == 0.0 and inv > 0.0:
+            return 0.0
+        if -math.inf < value < 0.0 and inv == int(inv) and int(inv) % 2 != 0:
+            return float(-((-value) ** inv))
+    except OverflowError:
+        raise DomainError(f"transformed value {value!r} overflows under exponent "
+                          f"{exponent!r}") from None
     raise DomainError(
         f"transformed value {value!r} has no real inverse under exponent {exponent!r}"
     )

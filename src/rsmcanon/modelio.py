@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaError
 from .model import ModelTerm, QuadraticModel, build_model
-from .regions import DEFAULT_T_MAX, RegionParametrization, _sample
+from .regions import DEFAULT_T_MAX, RegionParametrization, boundary_points
 
 _MODEL_KEYS = {"variables", "exponent", "intercept", "terms", "response_label"}
 
@@ -289,19 +289,20 @@ def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals
 
 
 def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFAULT_T_MAX) -> str:
-    """Render region boundary samples as CSV text.
+    """Render the ``boundary_points`` samples of a region as CSV text.
 
-    Columns: ``param,r,z_<i>,z_<j>,<variable names...>``. Ellipses emit
-    ``count`` rows tracing a closed curve (the last row equals the first
-    up to rounding); hyperbolas emit ``count`` rows per branch (r = +1,
-    then r = -1), 2*count in total. Raises InputError for count < 2, a
-    t_max that is not positive and finite, or samples that overflow.
+    Columns: ``param,r,z_<i>,z_<j>,<variable names...>``, one row per
+    sample: ``count`` rows tracing a closed ellipse (the last row equals
+    the first up to rounding), or ``count`` rows per hyperbola branch
+    (r = +1, then r = -1). ``boundary_points`` raises InputError for
+    count < 2, a t_max that is not positive and finite, or samples that
+    overflow.
 
     The r = -1 rows reuse the r = +1 ``repr`` strings of param and z,
     flipping the sign of z by string (0.0 gives -0.0). That is exact:
     r * cosh(t) and r * sinh(t) negate exactly, and a * (-c) = -(a * c).
     """
-    t, _, z, x = _sample(region, count, t_max, closed=True)
+    t, _, z, x = boundary_points(region, count, t_max)
     i, j = region.pair
     lines = [",".join(["param", "r", f"z_{i}", f"z_{j}", *region.names])]
     xs = [",".join(map(repr, row)) for row in x.tolist()]

@@ -15,13 +15,14 @@ an affine table with one row per variable:
 Here M is a deterministic band on the transformed response, not a
 probabilistic coverage set. M must be positive and finite;
 ``check_bound`` is the one test of that, and NonPositiveBound its error.
-``_sample`` is the one test of ``t_max``: it must be positive and
-finite, and the samples must not overflow, checked in their arithmetic
-under ``np.errstate(over="raise")``. Ellipses check overflow, not t_max.
+``boundary_points`` is the one boundary sampler and the one test of
+``t_max``: positive and finite, with samples that do not overflow in
+their own arithmetic under ``np.errstate(over="raise")``.
 
-``region`` builds a pair's region with ``ellipse_region`` or
-``hyperbola_region`` as ``region_kind`` dictates; a pair is usable when
-``canonical.check_pair`` accepts it.
+``region_kind`` is the one sign rule for a pair: it compares signs, as
+the product of tiny eigenvalues underflows. ``region`` builds a pair's
+region with ``ellipse_region`` or ``hyperbola_region`` as it dictates;
+a pair is usable when ``canonical.check_pair`` accepts it.
 """
 
 from __future__ import annotations
@@ -93,9 +94,10 @@ def check_bound(bound: float) -> float:
 
 
 def region_kind(canon: CanonicalModel, i: int, j: int) -> RegionKind:
-    """Classify the (z_i, z_j) region by the eigenvalue sign product."""
+    """Classify the (z_i, z_j) region by comparing the eigenvalue signs
+    (elliptical when they agree), not by their product, which underflows."""
     li, lj = check_pair(canon, i, j)
-    if li * lj > 0.0:
+    if (li < 0.0) == (lj < 0.0):
         return RegionKind.ELLIPTICAL_MAXIMUM if li < 0.0 else RegionKind.ELLIPTICAL_MINIMUM
     return RegionKind.HYPERBOLIC
 
@@ -156,29 +158,26 @@ def _build(canon: CanonicalModel, pair: tuple[int, int], kind: RegionKind,
     )
 
 
-def _sample(region: RegionParametrization, count: int, t_max: float,
-            closed: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def boundary_points(region: RegionParametrization, count: int, t_max: float = DEFAULT_T_MAX
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Boundary samples as arrays: param (m,), r (m,), z (m, 2) and x (m, n).
 
-    The closed-curve rule: a ``closed`` ellipse is sampled at
-    linspace(0, 2*pi, count), endpoint included, so its last row closes
-    the curve (equal to the first only up to rounding: sin(2*pi) is about
-    -2.4e-16); an open one at t = 2*pi*k/count, endpoint excluded, so
-    count = 4 hits the four vertices. A hyperbola is sampled at count
-    points spanning [-t_max, t_max] inclusive on the r = +1 branch, and
-    ``closed`` appends the r = -1 branch.
+    An ellipse is sampled as a closed curve at linspace(0, 2*pi, count),
+    endpoint included, so its last row closes the curve (equal to the
+    first only up to rounding: sin(2*pi) is about -2.4e-16) and count = 5
+    gives the four vertices and the closing row. A hyperbola is sampled
+    at count points spanning [-t_max, t_max] inclusive on the r = +1
+    branch, then the same on the r = -1 branch, 2*count rows in all.
     """
     if count < 2:
         raise InputError(f"need at least 2 samples, got {count}")
     if not 0.0 < t_max < np.inf:
         raise InputError(f"t_max must be positive and finite, got {t_max!r}")
     if region.kind.is_elliptical:
-        t = (np.linspace(0.0, 2.0 * np.pi, count) if closed
-             else 2.0 * np.pi * np.arange(count) / count)
-        r = np.ones(count)
+        t, r = np.linspace(0.0, 2.0 * np.pi, count), np.ones(count)
     else:
-        t = np.tile(np.linspace(-t_max, t_max, count), 1 + closed)
-        r = np.repeat((1.0, -1.0)[:1 + closed], count)
+        t = np.tile(np.linspace(-t_max, t_max, count), 2)
+        r = np.repeat((1.0, -1.0), count)
     a = region.affine
     try:
         with np.errstate(over="raise"):
@@ -189,16 +188,6 @@ def _sample(region: RegionParametrization, count: int, t_max: float,
         raise InputError(f"t_max {t_max!r} overflows the samples of hyperbola {region.pair}"
                          if region.unbounded else
                          f"the samples of ellipse {region.pair} overflow") from None
-
-
-def boundary_points(region: RegionParametrization, count: int,
-                    t_max: float = DEFAULT_T_MAX) -> list[tuple[float, tuple[float, float], np.ndarray]]:
-    """Sample the r = 1 boundary at evenly spaced parameter values, open
-    curve (see ``_sample``). Returns (parameter, (z_i, z_j),
-    original-variable point) triples.
-    """
-    t, _, z, x = _sample(region, count, t_max)
-    return [(p, (z1, z2), xk) for p, (z1, z2), xk in zip(t.tolist(), z.tolist(), x)]
 
 
 def contains(canon: CanonicalModel, point, bound: float) -> bool:

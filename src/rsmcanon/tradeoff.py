@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalModel, check_pair
+from .canonical import CanonicalModel
 from .errors import (
     NoPositiveBranch,
     NotTwoVariable,
@@ -33,7 +33,7 @@ from .errors import (
     WrongKind,
     ZeroCoefficient,
 )
-from .regions import RegionParametrization
+from .regions import RegionParametrization, region_kind
 
 # Components at or below this factor of their vector's 2-norm count as
 # "not touching" a variable (see ``_active``).
@@ -63,15 +63,12 @@ class ConversionRate:
 def iso_slopes(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
     """Hyperplane slopes z_i = +-sqrt(|lambda_j / lambda_i|) z_j.
 
-    Requires opposite-sign eigenvalues (one must offset the other);
-    raises SameSignPair otherwise. The pair must pass ``check_pair``.
+    Requires opposite-sign eigenvalues, one to offset the other: raises
+    SameSignPair where ``region_kind`` finds the pair elliptical.
     """
-    li, lj = check_pair(canon, i, j)
-    if li * lj > 0.0:
-        raise SameSignPair(
-            f"axes ({i}, {j}) have same-sign eigenvalues; no cancellation possible"
-        )
-    slope = float(np.sqrt(abs(lj / li)))
+    if region_kind(canon, i, j).is_elliptical:
+        raise SameSignPair(f"axes ({i}, {j}) have same-sign eigenvalues; no cancellation possible")
+    slope = float(np.sqrt(abs(canon.lambdas[j - 1] / canon.lambdas[i - 1])))
     return (slope, -slope)
 
 

@@ -16,7 +16,6 @@ full-precision output is checked against the LAPACK eigenvalues
 import numpy as np
 
 from rsmcanon import CanonicalModel
-from rsmcanon.canonical import SADDLE
 
 # Interaction matrix in absolute units (printed entries times 1e-18),
 # variable order (Li, Ga, Fl, Bu).
@@ -76,7 +75,7 @@ def reference_frame() -> CanonicalModel:
     """Canonical frame built from the quoted six-digit reference values."""
     return CanonicalModel(
         names=("Li", "Ga", "Fl", "Bu"), center=EU_WORKED_CENTER, y0=0.0,
-        lambdas=EU_LAMBDAS_REF, axes=EU_AXES_REF, kind=SADDLE)
+        lambdas=EU_LAMBDAS_REF, axes=EU_AXES_REF)
 
 
 def oracle_lambdas(model) -> np.ndarray:

@@ -165,8 +165,7 @@ class TestCheckPair:
     def test_degenerate_axis_at_the_cutoff(self):
         def frame(small):
             return CanonicalModel(names=("x", "y"), center=np.zeros(2), y0=0.0,
-                                  lambdas=np.array([1.0, small]), axes=np.eye(2),
-                                  kind=classify([1.0, small]))
+                                  lambdas=np.array([1.0, small]), axes=np.eye(2))
         assert check_pair(frame(2e-9), 1, 2) == (1.0, 2e-9)
         with pytest.raises(DegeneratePair):
             check_pair(frame(1e-9), 1, 2)

@@ -755,6 +755,13 @@ class TestInputChecks:
         assert message in one_error_line(capsys, "InputError")
         assert not out.exists()
 
+    def test_predict_overflowing_inverse(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"variables": ["x"], "exponent": 0.1, "intercept": 1e100, "terms": []}')
+        assert main(["predict", str(path), "--at", "0"]) == 2
+        err = one_error_line(capsys, "DomainError")
+        assert err == "rsmcanon: DomainError: transformed value 1e+100 overflows under exponent 0.1\n"
+
     @pytest.mark.parametrize("terms, name", [
         ("Li,Li", "DuplicateTerm"),
         ("Li,Li:Ga,Ga:Li", "DuplicateTerm"),

@@ -1,5 +1,7 @@
 """Model construction conventions and the two evaluation pictures."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,13 @@ class TestPredictResponse:
         for exponent in (-2.376, 1.0, 1.0 / 3.0):
             with pytest.raises(DomainError, match="has no real inverse"):
                 invert_transform(value, exponent)
+
+    @pytest.mark.parametrize("value, exponent", [(1e100, 0.1), (-1e200, 1.0 / 3.0)])
+    def test_overflowing_inverse_rejected(self, value, exponent):
+        # Python float powers raise OverflowError where numpy would give inf
+        message = f"transformed value {value!r} overflows under exponent {exponent!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            invert_transform(value, exponent)
 
     def test_overflowing_point_rejected(self, eu_model):
         # X'BX overflows to inf, which the negative exponent would map to 0.0

@@ -25,7 +25,10 @@ kept here that skip neither the last idle Jacobi sweep nor any pair of
 axes. On spectra graded across the 1e-12 and 1e-9 cutoffs, with
 eigenvalues on them and an ulp to either side, ``solve`` raises exactly
 when ``small_axes`` finds an axis and names those axes, and
-``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based.
+``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based. Scaling B and
+beta by a power of ten down to 1e-300, where eigenvalue products
+underflow, moves no region kind, no ``iso_slopes`` verdict, no default
+pairing and no region kind of an analysis.
 """
 
 import io
@@ -37,7 +40,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -45,7 +48,6 @@ import rsmcanon as rc
 import rsmcanon.fitting as fitting
 import rsmcanon.linalg as linalg
 import rsmcanon.tradeoff as tradeoff
-from rsmcanon.regions import _sample
 
 LAMBDA_SCALE = 1e-16
 unit = st.floats(-1.0, 1.0)
@@ -142,10 +144,9 @@ def check_rows(canon, region, z, x):
 def test_boundary_points_lie_on_the_conic(case, sample):
     canon, region = case
     count, t_max = sample
-    points = rc.boundary_points(region, count, t_max)
-    assert len(points) == count
-    z = np.array([zk for _, zk, _ in points])
-    check_rows(canon, region, z, np.array([xk for _, _, xk in points]))
+    t, r, z, x = rc.boundary_points(region, count, t_max)
+    assert len(t) == (count if region.kind.is_elliptical else 2 * count)
+    check_rows(canon, region, z, x)
 
 
 @given(regions(), samples)
@@ -169,7 +170,7 @@ def test_semiaxes_scale_as_root_bound(case, factor):
 
 def row_wise_csv(region, count, t_max):
     """``emit_plot_csv`` text rendered one row at a time, ``repr`` on every float."""
-    t, r, z, x = _sample(region, count, t_max, closed=True)
+    t, r, z, x = rc.boundary_points(region, count, t_max)
     i, j = region.pair
     lines = [",".join(["param", "r", f"z_{i}", f"z_{j}", *region.names])]
     lines += [",".join(map(repr, row)) for row in np.column_stack([t, r, z, x]).tolist()]
@@ -513,10 +514,10 @@ def pairing_oracle(canon):
 
 
 @st.composite
-def block_canon(draw):
-    """A canonical model whose eigenvectors are a permuted mix of 2 x 2
-    rotation blocks and identity columns, so axes touch one or two
-    variables; eigenvalues of mixed sign over three decades."""
+def block_model(draw):
+    """A model whose eigenvectors are a permuted mix of 2 x 2 rotation
+    blocks and identity columns, so axes touch one or two variables;
+    eigenvalues of mixed sign over three decades."""
     n = draw(st.integers(2, 8))
     q = np.zeros((n, n))
     k = 0
@@ -533,9 +534,12 @@ def block_canon(draw):
            * 10.0 ** draw(arrays(float, (n,), elements=st.floats(-3.0, 0.0))))
     b = (q * lam) @ q.T
     center = draw(arrays(float, (n,), elements=unit))
-    model = rc.QuadraticModel(tuple(f"x{k}" for k in range(1, n + 1)), 1.0,
-                              -2.0 * b @ center, rc.SymMatrix(b), 1.0)
-    return rc.canonicalize(model)
+    return rc.QuadraticModel(tuple(f"x{k}" for k in range(1, n + 1)), 1.0,
+                             -2.0 * b @ center, rc.SymMatrix(b), 1.0)
+
+
+def block_canon():
+    return block_model().map(rc.canonicalize)
 
 
 @given(block_canon())
@@ -581,6 +585,57 @@ def test_marginal_rates_free_of_scale(canon, data):
     want_labels, want = band_rates(canon, i, j, 1e-8)
     assert labels == want_labels
     np.testing.assert_allclose(ratios, want, rtol=1e-13)
+
+
+def two_variable_model(b):
+    return rc.QuadraticModel(("x1", "x2"), 1.0, np.zeros(2), rc.SymMatrix(np.array(b)), 1.0)
+
+
+# Same-sign spectra whose eigenvalue product underflows at scale 1e-300
+SAME_SIGN_2X2 = (two_variable_model([[-2.0, 0.5], [0.5, -1.0]]),
+                 two_variable_model([[-2.0, 0.0], [0.0, -4.0]]))
+
+
+def scaled(model, scale):
+    """The model with B and beta multiplied by ``scale``."""
+    return rc.QuadraticModel(model.names, model.intercept, scale * model.linear,
+                             rc.SymMatrix(scale * model.interaction.array), model.exponent)
+
+
+def distinct_magnitudes(model):
+    """|lambda| at least 1e-6 max|lambda| apart. Otherwise B does not fix
+    the canonical axes or their order, and rounding may pick others."""
+    mags = np.sort(np.abs(np.linalg.eigvalsh(model.interaction.array)))
+    return np.diff(mags).min() > 1e-6 * mags[-1]
+
+
+def sign_outcomes(model):
+    """What the sign rule decides: each pair's region kind and whether
+    ``iso_slopes`` accepts it, the default pairing, and the region kinds
+    that ``run_analysis`` reports."""
+    canon = rc.canonicalize(model)
+    kinds, accepts = [], []
+    for i, j in itertools.combinations(range(1, canon.n + 1), 2):
+        kinds.append(rc.region_kind(canon, i, j))
+        try:
+            rc.iso_slopes(canon, i, j)
+        except rc.SameSignPair:
+            accepts.append(False)
+        else:
+            accepts.append(True)
+    regions = [section["kind"] for section in rc.run_analysis(model).regions]
+    return kinds, accepts, tradeoff.default_pairing(canon), regions
+
+
+@example(SAME_SIGN_2X2[0], 300)
+@example(SAME_SIGN_2X2[1], 300)
+@given((st.sampled_from(SAME_SIGN_2X2) | graded_model().map(lambda case: case[0])
+        | block_model()).filter(distinct_magnitudes), st.integers(0, 300))
+def test_sign_rule_free_of_scale(model, decades):
+    """Scaling B and beta by 10^-decades scales every eigenvalue and no
+    sign, so nothing that rests on the signs may move, even where the
+    product of two eigenvalues underflows."""
+    assert sign_outcomes(scaled(model, 10.0 ** -decades)) == sign_outcomes(model)
 
 
 def reject_constant(name):

@@ -23,7 +23,6 @@ from rsmcanon import (
     region_kind,
     with_center,
 )
-from rsmcanon.canonical import MAXIMUM, SADDLE
 
 from eu_reference import (
     EU_BOX_CORNER,
@@ -40,13 +39,13 @@ M_IPCC = 1e-8
 def circle_frame():
     return CanonicalModel(
         names=("x", "y"), center=np.zeros(2), y0=0.0,
-        lambdas=np.array([-1.0, -1.0]), axes=np.eye(2), kind=MAXIMUM)
+        lambdas=np.array([-1.0, -1.0]), axes=np.eye(2))
 
 
 def rectangular_frame():
     return CanonicalModel(
         names=("x", "y"), center=np.zeros(2), y0=0.0,
-        lambdas=np.array([1.0, -1.0]), axes=np.eye(2), kind=SADDLE)
+        lambdas=np.array([1.0, -1.0]), axes=np.eye(2))
 
 
 class TestRegionKind:
@@ -58,7 +57,7 @@ class TestRegionKind:
     def test_degenerate_pair(self):
         frame = CanonicalModel(
             names=("x", "y"), center=np.zeros(2), y0=0.0,
-            lambdas=np.array([1.0, 1e-30]), axes=np.eye(2), kind=MAXIMUM)
+            lambdas=np.array([1.0, 1e-30]), axes=np.eye(2))
         with pytest.raises(DegeneratePair):
             region_kind(frame, 1, 2)
 
@@ -164,24 +163,24 @@ class TestHyperbolaRegion:
         region = hyperbola_region(eu_canon, 2, 3, M_IPCC)
         lam_i = eu_canon.lambdas[region.pair[0] - 1]
         lam_j = eu_canon.lambdas[region.pair[1] - 1]
-        for _, (z_i, z_j), _ in boundary_points(region, 41, t_max=3.0):
-            q = lam_i * z_i ** 2 + lam_j * z_j ** 2
-            assert abs(q - M_IPCC) <= 1e-9 * M_IPCC
+        _, _, z, _ = boundary_points(region, 41, t_max=3.0)
+        q = lam_i * z[:, 0] ** 2 + lam_j * z[:, 1] ** 2
+        assert len(q) == 82 and (abs(q - M_IPCC) <= 1e-9 * M_IPCC).all()
 
 
 class TestBoundaryPoints:
     def test_four_vertices(self):
         region = ellipse_region(circle_frame(), 1, 2, 4.0)  # radius 2 circle
-        pts = boundary_points(region, 4)
-        zs = np.array([z for _, z, _ in pts])
+        _, r, z, _ = boundary_points(region, 5)  # closed: the first vertex again
+        assert r.tolist() == [1.0] * 5
         np.testing.assert_allclose(
-            zs, [[2, 0], [0, 2], [-2, 0], [0, -2]], atol=1e-12)
+            z, [[2, 0], [0, 2], [-2, 0], [0, -2], [2, 0]], atol=1e-12)
 
     def test_worked_example_vertex_displacement(self, eu_canon):
         region = ellipse_region(with_center(eu_canon, EU_WORKED_CENTER), 1, 3, M_IPCC)
-        pts = boundary_points(region, 4)
-        li_at_quarter = pts[1][2][0]   # t = pi/2, pure sin
-        li_at_three_quarters = pts[3][2][0]
+        x = boundary_points(region, 5)[3]
+        li_at_quarter = x[1, 0]   # t = pi/2, pure sin
+        li_at_three_quarters = x[3, 0]
         displaced = sorted([li_at_quarter, li_at_three_quarters])
         assert displaced[0] == pytest.approx(534271.0 - 6130.09, abs=0.1)
         assert displaced[1] == pytest.approx(534271.0 + 6130.09, abs=0.1)
@@ -205,10 +204,10 @@ class TestBoundaryPoints:
             with pytest.raises(InputError,
                                match=r"^t_max \S+ overflows the samples of hyperbola \(2, 3\)$"):
                 boundary_points(band, 5, t_max)
-            assert len(boundary_points(ellipse_region(eu_canon, 1, 3, M_IPCC), 5, t_max)) == 5
+            assert len(boundary_points(ellipse_region(eu_canon, 1, 3, M_IPCC), 5, t_max)[0]) == 5
             # (1, 4) has samples near the float limit at 700 that do not overflow
             for edge in (band, hyperbola_region(eu_canon, 1, 4, M_IPCC)):
-                assert np.isfinite([x for _, _, x in boundary_points(edge, 5, 700.0)]).all()
+                assert np.isfinite(boundary_points(edge, 5, 700.0)[3]).all()
 
     def test_overflowing_ellipse_samples_rejected_before_numpy_warns(self):
         ellipse = RegionParametrization(
@@ -222,7 +221,7 @@ class TestBoundaryPoints:
     def test_all_points_contained(self, eu_canon):
         for region in (ellipse_region(eu_canon, 1, 3, M_IPCC),
                        hyperbola_region(eu_canon, 2, 3, M_IPCC)):
-            for _, _, x in boundary_points(region, 25):
+            for x in boundary_points(region, 25)[3]:
                 assert contains(eu_canon, x, M_IPCC)
 
 
@@ -233,7 +232,7 @@ class TestContains:
 
     def test_boundary_equality_counts_as_inside(self, eu_canon):
         region = ellipse_region(eu_canon, 1, 3, M_IPCC)
-        _, _, x = boundary_points(region, 7)[3]
+        x = boundary_points(region, 8)[3][3]  # t = 6 pi / 7
         assert contains(eu_canon, x, M_IPCC)
 
     @pytest.mark.parametrize("bound", [1e-12, 1e-14])
@@ -243,7 +242,7 @@ class TestContains:
         # hundredfold at t = 3; either rounding exceeds 1e-12 * M.
         for region in (ellipse_region(eu_canon, 1, 3, bound),
                        hyperbola_region(eu_canon, 2, 3, bound)):
-            for _, _, x in boundary_points(region, 360):
+            for x in boundary_points(region, 360)[3]:
                 assert contains(eu_canon, x, bound)
 
     def test_box_corner_outside_ellipse(self, eu_canon):

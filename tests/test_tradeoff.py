@@ -26,7 +26,6 @@ from rsmcanon import (
     marginal_rates,
     run_analysis,
 )
-from rsmcanon.canonical import SADDLE
 
 from eu_reference import (
     EU_QUOTED_HYPERBOLIC_AFFINE,
@@ -43,8 +42,7 @@ M_IPCC = 1e-8
 def saddle_frame(lambdas, axes, names):
     return CanonicalModel(
         names=names, center=np.zeros(len(names)), y0=0.0,
-        lambdas=np.asarray(lambdas, dtype=float), axes=np.asarray(axes, dtype=float),
-        kind=SADDLE)
+        lambdas=np.asarray(lambdas, dtype=float), axes=np.asarray(axes, dtype=float))
 
 
 def quoted_band() -> RegionParametrization:
@@ -93,7 +91,7 @@ class TestIsoSlopes:
     def test_scale_invariance(self, eu_canon):
         scaled = CanonicalModel(
             names=eu_canon.names, center=eu_canon.center, y0=eu_canon.y0,
-            lambdas=7.5 * eu_canon.lambdas, axes=eu_canon.axes, kind=eu_canon.kind)
+            lambdas=7.5 * eu_canon.lambdas, axes=eu_canon.axes)
         for pair in ((1, 4), (2, 3), (1, 2)):
             assert iso_slopes(scaled, *pair)[0] == pytest.approx(
                 iso_slopes(eu_canon, *pair)[0], rel=1e-14)
@@ -157,7 +155,7 @@ class TestConversionRates:
     def test_invariant_under_axis_sign_flips(self, eu_canon):
         flipped = CanonicalModel(
             names=eu_canon.names, center=eu_canon.center, y0=eu_canon.y0,
-            lambdas=eu_canon.lambdas, axes=-eu_canon.axes, kind=eu_canon.kind)
+            lambdas=eu_canon.lambdas, axes=-eu_canon.axes)
         base = [(r.from_variable, r.to_variable, r.ratio) for r in conversion_rates(eu_canon)]
         alt = [(r.from_variable, r.to_variable, r.ratio) for r in conversion_rates(flipped)]
         for (f1, t1, r1), (f2, t2, r2) in zip(base, alt):

@@ -8,7 +8,9 @@ the module, as the root of an attribute chain, or in ``__all__``.
 A module-level private name in ``src/rsmcanon`` (a function, class or
 assignment whose name starts with one underscore) must be loaded by
 some code in ``src/rsmcanon``, as a name or as an attribute; a helper
-that only tests still call is dead code.
+that only tests still call is dead code. No module there imports a
+private name from another package module: what one module needs of
+another is public.
 """
 
 import ast
@@ -94,3 +96,24 @@ def test_no_dead_private_helpers():
     assert len(PACKAGE) > 10
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     assert dead_private_helpers(sources) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """``_name`` imports from a package module, relative or by ``rsmcanon``."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "rsmcanon")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_scan_finds_a_private_import():
+    source = ("from __future__ import annotations\nfrom os import _exit\n"
+              "from .regions import _sample, boundary_points\nfrom . import __version__\n"
+              "from rsmcanon.linalg import _wavefront\n")
+    assert private_imports(source) == ["line 3: _sample", "line 5: _wavefront"]
+
+
+def test_no_private_imports_across_modules():
+    found = {str(p.relative_to(ROOT)): private_imports(p.read_text()) for p in PACKAGE}
+    assert {path: names for path, names in found.items() if names} == {}
