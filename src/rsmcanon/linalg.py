@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra for small matrices.
 
 The eigensolver is a Jacobi iteration that applies each sweep's
-row-cyclic rotations in wavefront steps of disjoint pairs (one gather,
-one scatter into J and two products per step, the second over the
-matrix stacked on its eigenvectors), rotates only above a relative
+row-cyclic rotations in wavefront steps of disjoint pairs (per step one
+gather into Python floats, the rotation angles in scalar arithmetic,
+one hypot call, one scatter into J and two products, the second over
+the matrix stacked on its eigenvectors), rotates only above a relative
 threshold, so graded matrices keep high relative accuracy, and stops
 when a test of all pairs before a sweep finds none to rotate (exact, as
 only rotations change the matrix). Order and sign convention are fixed:
@@ -29,11 +30,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, SingularMatrix
+from .errors import DimensionMismatch, NonConvergence, NumericalError, SingularMatrix
 
 # An eigenvalue within this factor of max|lambda| makes a matrix singular.
 DEFAULT_COND_TOL = 1e-12
@@ -55,9 +57,15 @@ class SymMatrix:
         a = np.array(self.array, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        top = np.abs(a).max()
+        if not top < math.inf:
             raise DimensionMismatch("matrix entries must be finite")
-        a = (a + a.T) / 2.0
+        if top < 2.0 ** 1023:  # below max/2, a + a' cannot overflow
+            a = (a + a.T) / 2.0
+        else:  # halving first is exact at this size
+            with np.errstate(over="ignore"):
+                total = a + a.T
+            a = np.where(np.isinf(total), a / 2.0 + a.T / 2.0, total / 2.0)
         a.setflags(write=False)
         object.__setattr__(self, "array", a)
 
@@ -114,19 +122,29 @@ def jacobi_eigen(matrix) -> EigenDecomposition:
     Indices are first ordered by descending |a_pp|. Each sweep runs the
     steps of ``_wavefront``, rotating a step's disjoint pairs (p, q) at
     once as one orthogonal J: a <- J' a J, v <- v J. A step gathers
-    (a_pq, a_pp, a_qq) in one read; a pair rotates only while
-    |a_pq| > JACOBI_TOL sqrt|a_pp| sqrt|a_qq| (Demmel & Veselic, 1992),
-    which keeps graded matrices to high relative accuracy. J is written
-    in one scatter, and v is kept under a in one 2n x n array, so one
-    product [J'a; v] J updates both and a still rounds as (J'a) J. Before
-    each sweep all pairs take the step test at once; if none would rotate,
-    the iteration ends, with no idle sweep. That is exact: only rotations
-    change the matrix, so a sweep's first rotating step sees it as the
-    sweep began.
+    (a_pq, a_pp, a_qq) in one read, as Python floats; a pair rotates only
+    while |a_pq| > JACOBI_TOL sqrt|a_pp| sqrt|a_qq| (Demmel & Veselic,
+    1992), which keeps graded matrices to high relative accuracy. With at
+    most n/2 pairs a step, numpy calls would cost more in overhead than in
+    arithmetic, so the test and the angles take scalar operations: the
+    IEEE operations of the elementwise numpy form, in its order, so the
+    same bits. hypot(a_qq - a_pp, 2 a_pq) stays one numpy call per step:
+    math.hypot rounds differently from the C library hypot behind
+    np.hypot, in the last bit of about 0.6% of standard normal pairs. J
+    is written in one scatter, and v is kept under a in one 2n x n array,
+    so one product [J'a; v] J updates both and a still rounds as (J'a) J.
+    Before each sweep all pairs take the step test at once; if none would
+    rotate, the iteration ends, with no idle sweep. That is exact: only
+    rotations change the matrix, so a sweep's first rotating step sees it
+    as the sweep began.
 
     Raises NonConvergence if a sweep after the first JACOBI_MAX_SWEEPS,
     read at call time, would still rotate: pathological input, as any
     finite symmetric matrix of this size converges in a handful of sweeps.
+    Raises NumericalError if a rotation overflows, that is, if
+    |h| + hypot(h, 2 a_pq) with h = a_qq - a_pp does, which bounds every
+    other quantity of the angle; np.hypot may warn first. That takes an
+    entry above a sixth of the largest float.
     """
     source = as_sym_matrix(matrix)
     n = source.n
@@ -145,22 +163,30 @@ def jacobi_eigen(matrix) -> EigenDecomposition:
             raise NonConvergence(f"off-diagonal entries above {JACOBI_TOL:g} sqrt|a_pp a_qq| "
                                  f"after {JACOBI_MAX_SWEEPS} sweeps")
         for gather, scatter in _wavefront(n):
-            apq, app, aqq = g = av.take(gather)
-            root = np.sqrt(np.abs(g[1:]))
-            rot = np.abs(apq) > JACOBI_TOL * root[0] * root[1]
-            count = np.count_nonzero(rot)
-            if not count:
+            apq, app, aqq = av.take(gather).tolist()
+            rot = [k for k, x in enumerate(apq)
+                   if abs(x) > JACOBI_TOL * math.sqrt(abs(app[k])) * math.sqrt(abs(aqq[k]))]
+            if not rot:
                 continue
-            rotations += count
-            if count < rot.size:
-                (apq, app, aqq), scatter = g[:, rot], scatter[:, rot]
-            h = aqq - app
-            # tan of the angle that annihilates a_pq, in a form that cannot overflow
-            t = np.copysign(2.0, h) * apq / (np.abs(h) + np.hypot(h, 2.0 * apq))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
+            rotations += len(rot)
+            if len(rot) < len(apq):
+                apq, app, aqq = ([row[k] for k in rot] for row in (apq, app, aqq))
+                scatter = scatter[:, rot]
+            h = [y - x for x, y in zip(app, aqq)]
+            c, s = [], []
+            for x, y, r in zip(apq, h, np.hypot(h, [2.0 * x for x in apq]).tolist()):
+                # tan of the angle that annihilates a_pq, in a form that cannot
+                # overflow unless |h| + hypot(h, 2 a_pq) does
+                r += abs(y)
+                if not r < math.inf:
+                    raise NumericalError(f"a Jacobi rotation overflows: a_pq = {x!r}, "
+                                         f"a_qq - a_pp = {y!r}")
+                t = math.copysign(2.0, y) * x / r
+                cos = 1.0 / math.sqrt(1.0 + t * t)
+                c.append(cos)
+                s.append(t * cos)
             j = eye.copy()
-            j.put(scatter, np.concatenate((c, c, s, -s)))
+            j.put(scatter, np.fromiter(itertools.chain(c, c, s, map(operator.neg, s)), float))
             av[:n] = j.T @ av[:n]
             av = av @ j  # [J'a; v] J: a <- J'aJ and v <- vJ
             av.put(scatter[2:], 0.0)  # a_pq and a_qp, zero in exact arithmetic

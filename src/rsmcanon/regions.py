@@ -206,7 +206,8 @@ def contains(canon: CanonicalModel, point, bound: float) -> bool:
     fluct = abs(float(canon.lambdas @ (z * z)))
     if fluct <= bound * (1.0 + CONTAINS_SLACK):
         return True
-    h = math.sqrt(np.dot(point, point)) + math.sqrt(canon.center @ canon.center)
+    x = np.asarray(point, dtype=float)  # as to_canonical checked it
+    h = math.sqrt(np.dot(x, x)) + math.sqrt(canon.center @ canon.center)
     return fluct <= bound + CONTAINS_SLACK * float(np.abs(canon.lambdas * z) @ (np.abs(z) + h))
 
 

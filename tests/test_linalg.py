@@ -24,6 +24,7 @@ import pytest
 from rsmcanon import (
     DimensionMismatch,
     NonConvergence,
+    NumericalError,
     SingularMatrix,
     SymMatrix,
     degenerate_axes,
@@ -78,6 +79,18 @@ class TestSymMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(DimensionMismatch):
             SymMatrix([[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_huge_entries_symmetrized_without_overflow(self):
+        # a_01 + a_10 and a_22 + a_22 overflow; halving first is exact at that
+        # size, while the other entries, down to an odd subnormal, keep (a + a') / 2
+        a = np.array([[1.0, 1e308, 5e-324], [1.7e308, 3.0, 2.0], [0.0, 4.0, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = SymMatrix(a).array
+        with np.errstate(over="ignore"):
+            want = (a + a.T) / 2.0
+        want[0, 1], want[1, 0], want[2, 2] = 1.35e308, 1.35e308, -1e308
+        assert s.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -253,6 +266,25 @@ class TestJacobiEigen:
         ref = np.linalg.eigvalsh(a)
         np.testing.assert_allclose(np.sort(eig.lambdas), ref, rtol=0.0,
                                    atol=1e-14 * np.abs(ref).max())
+
+    def test_overflowing_rotation_raises(self):
+        # |h| + hypot(h, 2 a_pq) = 1.6e308 + 1.79e308 overflows; the
+        # eigenvalues are +-8.944e307, and a silent overflow gives +-8e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="rotation overflows") as err:
+                jacobi_eigen([[0.8e308, 0.4e308], [0.4e308, -0.8e308]])
+        assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize("matrix", [[[0.9e308, 0.4e308], [0.4e308, -0.8e308]],
+                                        [[1.0, 1e308], [1e308, 1.0]]],
+                             ids=["hypot", "two_apq"])
+    def test_rotation_overflowing_earlier_raises(self, matrix):
+        # hypot(h, 2 a_pq) itself, or 2 a_pq, overflows; np.hypot may warn first
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered in hypot", RuntimeWarning)
+            with pytest.raises(NumericalError, match="rotation overflows"):
+                jacobi_eigen(matrix)
 
     def test_zero_matrix(self):
         eig = jacobi_eigen(np.zeros((3, 3)))

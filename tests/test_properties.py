@@ -22,7 +22,8 @@ Marginal-rate ratios must not move when M is scaled anywhere from the
 smallest subnormal up to the largest bound a region accepts. The
 eigensolver and the default pairing must match, bit for bit, oracles
 kept here that skip neither the last idle Jacobi sweep nor any pair of
-axes. On spectra graded across the 1e-12 and 1e-9 cutoffs, with
+axes; the eigensolver also at the sizes the benchmark solves, where
+sha256 digests pin its output. On spectra graded across the 1e-12 and 1e-9 cutoffs, with
 eigenvalues on them and an ulp to either side, ``solve`` raises exactly
 when ``small_axes`` finds an axis and names those axes, and
 ``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based. Scaling B and
@@ -31,6 +32,7 @@ underflow, moves no region kind, no ``iso_slopes`` verdict, no default
 pairing and no region kind of an analysis.
 """
 
+import hashlib
 import io
 import itertools
 import json
@@ -494,6 +496,67 @@ def test_jacobi_raises_with_oracle_under_a_sweep_limit(m, max_sweeps):
 @given(threshold_edge())
 def test_jacobi_stops_with_oracle_at_the_threshold(m):
     assert_matches_oracle(m)
+
+
+def normal_matrix(variables, terms, seed):
+    """Unit-norm-column normal matrix of a seeded 50-row design with an
+    intercept and ``terms`` (index tuples) over columns spread across
+    the three decades of the emissions totals, as a fit forms it."""
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(3.0, 6.0, variables) * rng.uniform(0.5, 1.5, (50, variables))
+    design = np.column_stack([np.ones(50)] + [x[:, list(idx)].prod(axis=1) for idx in terms])
+    scaled = design / np.sqrt((design * design).sum(axis=0))
+    return scaled.T @ scaled
+
+
+def full_quadratic(variables):
+    return ([(i,) for i in range(variables)]
+            + [(i, j) for i in range(variables) for j in range(i, variables)])
+
+
+def graded_mixed(n, seed):
+    """D A D, A symmetric standard normal, D over six decades in a seeded order."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n))
+    d = rng.permutation(np.logspace(0.0, -6.0, n))
+    return d[:, None] * (x + x.T) * d
+
+
+# The sizes the benchmark solves: the normal matrices of 8-, 14- and
+# 20-term fits (n = 9, 15, 21) and a graded n = 32, 16 pairs per step.
+BENCH_SIZE_MATRICES = {
+    "normal_9": lambda: normal_matrix(4, [(0,), (1,), (2,), (0, 0), (1, 3), (3, 3), (0, 2),
+                                          (0, 3)], 9),
+    "normal_15": lambda: normal_matrix(4, full_quadratic(4), 15),
+    "normal_21": lambda: normal_matrix(5, full_quadratic(5), 21),
+    "graded_32": lambda: graded_mixed(32, 32),
+    "eu": lambda: rc.load_bundled_eu_model().interaction.array,
+}
+
+# sha256 of lambdas, vectors, sweeps and rotations, recorded from the
+# vector-form step that ``jacobi_oracle`` keeps
+BENCH_SIZE_DIGESTS = {
+    "normal_9": "5f56a01d873fbbfedc70756034a090653879faf3788345924cb5b20963692538",
+    "normal_15": "e7b720bf191a3905efd214195f7b27910a4c9eb6ecb3ccedbeab5de57233f95f",
+    "normal_21": "f2500c9cd7e2ab2866f1a4322063979b761ca13349dba47438c7f9d888a34f77",
+    "graded_32": "bd0b7825a28694d55bb03390ec1cb2d9a3eb3a5dce2fb99d0aa07ada65a40a80",
+    "eu": "3860e13bfa119c838d720544466e98350af5f697d345172b96373bfac51650a6",
+}
+
+
+def eigen_digest(eig):
+    return hashlib.sha256(eig.lambdas.tobytes() + eig.vectors.tobytes()
+                          + f"{eig.sweeps},{eig.rotations}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SIZE_MATRICES))
+def test_jacobi_bit_identical_to_oracle_at_benchmark_sizes(name):
+    assert_matches_oracle(BENCH_SIZE_MATRICES[name]())
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SIZE_MATRICES))
+def test_jacobi_digest_at_benchmark_sizes(name):
+    assert eigen_digest(rc.jacobi_eigen(BENCH_SIZE_MATRICES[name]())) == BENCH_SIZE_DIGESTS[name]
 
 
 def pairing_oracle(canon):

@@ -245,6 +245,12 @@ class TestContains:
             for x in boundary_points(region, 360)[3]:
                 assert contains(eu_canon, x, bound)
 
+    @pytest.mark.parametrize("coord", [4_000_000_000, 3_037_000_500])
+    def test_integer_point_same_as_float(self, eu_canon, coord):
+        # coord**2 passes the int64 range, which must not wrap the |x| of the slack
+        as_float = contains(eu_canon, [float(coord), 0.0, 0.0, 0.0], M_IPCC)
+        assert contains(eu_canon, [coord, 0, 0, 0], M_IPCC) == as_float
+
     def test_box_corner_outside_ellipse(self, eu_canon):
         # inside every maximal interval, yet outside the joint region
         frame = with_center(eu_canon, EU_WORKED_CENTER)
