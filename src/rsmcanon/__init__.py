@@ -47,7 +47,6 @@ from .errors import (
     SingularMatrix,
     TooFewRows,
     WrongKind,
-    ZeroCoefficient,
 )
 from .fitting import Dataset, FitResult, TermStat, f_rank, ols_fit, transform_response
 from .linalg import (
@@ -125,7 +124,7 @@ __all__ = [
     # errors
     "RsmError", "InputError", "NumericalError", "DimensionMismatch",
     "DuplicateTerm", "IndexOutOfRange", "DomainError", "WrongKind",
-    "NonPositiveBound", "SameSignPair", "NotTwoVariable", "ZeroCoefficient",
+    "NonPositiveBound", "SameSignPair", "NotTwoVariable",
     "TooFewRows", "ParseError", "SchemaError",
     "NonConvergence", "SingularMatrix", "DegeneratePair", "NoPositiveBranch",
     "RankDeficient",

@@ -5,6 +5,9 @@ boundary-sample CSV), ``tradeoff`` (model -> exchange rates), ``fit``
 (emissions CSV -> model JSON), ``predict`` (model + point -> natural
 response). Exit status: 0 on success, 2 for input errors, 3 for
 numerical failures, numpy overflow and invalid operations included.
+
+Commands parse their arguments, call the library and write the text it
+renders; they format no numbers themselves (``predict`` writes a repr).
 """
 
 from __future__ import annotations
@@ -103,15 +106,8 @@ def _cmd_regions(args) -> int:
 def _cmd_tradeoff(args) -> int:
     model = load_model(args.model)
     pairing = _parse_pairs(args.pairing) if args.pairing else None
-    tradeoff = run_analysis(model, pairs=[], pairing=pairing).tradeoff
-    lines = []
-    for entry in tradeoff["iso_slopes"]:
-        i, j = entry["pair"]
-        lines.append(f"z{i} = +-{entry['slope']:.9g} z{j}")
-    for rate in tradeoff["conversion_rates"]:
-        lines.append(f"{rate['from']} = {rate['ratio']:.6g} {rate['to']}"
-                     f"   [branch {rate['branch']}, M = {rate['bound']:g}]")
-    _write_or_print("\n".join(lines) + "\n", args.output)
+    lines = run_analysis(model, pairs=[], pairing=pairing).tradeoff_lines(with_bound=True)
+    _write_or_print("".join(f"{line}\n" for line in lines), args.output)
     return 0
 
 
@@ -136,13 +132,7 @@ def _cmd_fit(args) -> int:
     sys.stdout.write(f"fit over {len(kept)} years"
                      + (f" ({dropped} without co2_ppmv dropped)" if dropped else "")
                      + (f"; {len(table.rejected)} rows rejected" if table.rejected else "")
-                     + f"; SSE = {result.sse:.6g}\n")
-    sys.stdout.write("rank term        coefficient      F\n")
-    by_label = {s.label: s for s in result.term_stats}
-    for rank, label in enumerate(result.ranking, start=1):
-        s = by_label[label]
-        sys.stdout.write(f"{rank:>4} {s.label:<11} {s.coefficient:>+12.6g} {s.f_value:>10.4g}\n")
-    sys.stdout.write(f"model written to {args.output}\n")
+                     + "; " + result.to_text() + f"model written to {args.output}\n")
     return 0
 
 

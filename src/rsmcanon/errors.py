@@ -50,10 +50,6 @@ class NotTwoVariable(InputError):
     """Canonical pair mixes more than two original variables."""
 
 
-class ZeroCoefficient(InputError):
-    """No variable pair is coupled on the requested basis function."""
-
-
 class TooFewRows(InputError):
     """Dataset too small for the requested number of fitted terms."""
 

@@ -62,12 +62,22 @@ class TermStat:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Fitted model plus the per-term statistics behind its ranking."""
+    """Fitted model plus the per-term statistics behind its ranking, and their printed table."""
 
     model: QuadraticModel
     sse: float
     term_stats: tuple[TermStat, ...]
     ranking: tuple[str, ...]
+
+    def to_text(self) -> str:
+        """``SSE = ...``, then one row per term in ranking order: rank,
+        label, coefficient and partial F (``inf`` for an exact fit)."""
+        by_label = {s.label: s for s in self.term_stats}
+        out = [f"SSE = {self.sse:.6g}", "rank term        coefficient      F"]
+        for rank, label in enumerate(self.ranking, start=1):
+            s = by_label[label]
+            out.append(f"{rank:>4} {s.label:<11} {s.coefficient:>+12.6g} {s.f_value:>10.4g}")
+        return "\n".join(out) + "\n"
 
 
 def transform_response(values, exponent: float) -> np.ndarray:

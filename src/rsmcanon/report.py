@@ -4,7 +4,8 @@
 region construction, and trade-rate extraction into one report object.
 Reports serialize deterministically: identical inputs give
 byte-identical JSON (keys sorted, floats rendered by Python's
-shortest-round-trip repr) and byte-identical text.
+shortest-round-trip repr) and byte-identical text, which is all the CLI
+prints about an analysis: the whole ``to_text`` or its ``tradeoff_lines``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import RsmError
 from .linalg import DEFAULT_COND_TOL
 from .model import QuadraticModel
 from .regions import CONTAINS_SLACK, DEFAULT_BOUND, check_bound, max_intervals, region
-from .tradeoff import conversion_rates, default_pairing, iso_slopes, marginal_rates
+from .tradeoff import RATE_FORMAT, conversion_rates, default_pairing, iso_slopes, marginal_rates
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,21 +71,27 @@ class AnalysisReport:
             for row in section.get("max_intervals", []):
                 out.append(f"  |{row['variable']} - {row['center']:.6f}| <= {row['half_width']:.6f}")
             for row in section.get("marginal_rates", []):
-                out.append(f"  {row['basis']}-linked: {row['from']} = {row['ratio']:.6g} {row['to']}")
-        t = self.tradeoff
+                out.append(f"  {row['basis']}-linked: "
+                           + RATE_FORMAT.format(row["from"], row["ratio"], row["to"]))
         out.append("")
         out.append("Iso-response relations (M = 0):")
-        for entry in t["iso_slopes"]:
-            i, j = entry["pair"]
-            out.append(f"  z{i} = +-{entry['slope']:.9g} z{j}")
-        for entry in t["conversion_rates"]:
-            out.append(f"  {entry['from']} = {entry['ratio']:.6g} {entry['to']}"
-                       f"   [branch {entry['branch']}]")
+        out.extend(f"  {line}" for line in self.tradeoff_lines())
         p = self.provenance
         out.append("")
         out.append(f"rsmcanon {p['version']}  digest "
                    f"{p['model_digest_sha256'] or '-'}  bound {p['bound']:g}")
         return "\n".join(out) + "\n"
+
+    def tradeoff_lines(self, with_bound: bool = False) -> list[str]:
+        """One line per iso-slope ``z_i = +-s z_j``, then per M = 0 rate ``A = r B
+        [branch +]``; ``with_bound`` adds the rate's bound: ``[branch +, M = 0]``."""
+        t = self.tradeoff
+        lines = [f"z{e['pair'][0]} = +-{e['slope']:.9g} z{e['pair'][1]}" for e in t["iso_slopes"]]
+        for rate in t["conversion_rates"]:
+            bound = f", M = {rate['bound']:g}" if with_bound else ""
+            lines.append(RATE_FORMAT.format(rate["from"], rate["ratio"], rate["to"])
+                         + f"   [branch {rate['branch']}{bound}]")
+        return lines
 
 
 def _region_section(canon: CanonicalModel, i: int, j: int, bound: float) -> dict:

@@ -26,18 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalModel
-from .errors import (
-    NoPositiveBranch,
-    NotTwoVariable,
-    SameSignPair,
-    WrongKind,
-    ZeroCoefficient,
-)
+from .errors import NoPositiveBranch, NotTwoVariable, SameSignPair, WrongKind
 from .regions import RegionParametrization, region_kind
 
 # Components at or below this factor of their vector's 2-norm count as
 # "not touching" a variable (see ``_active``).
 ACTIVE_COMPONENT_TOL = 1e-9
+
+# The one printed form of an exchange ratio, "A = r B", filled in that order.
+RATE_FORMAT = "{} = {:.6g} {}"
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class ConversionRate:
     bound: float
 
     def __str__(self) -> str:
-        return f"{self.from_variable} = {self.ratio:.6g} {self.to_variable}"
+        return RATE_FORMAT.format(self.from_variable, self.ratio, self.to_variable)
 
 
 def iso_slopes(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
@@ -143,7 +140,8 @@ def marginal_rates(region: RegionParametrization) -> list[ConversionRate]:
 
     Variables sharing a basis function trade at |coef_v / coef_w| on
     that function; cosh-linked and sinh-linked pairs are reported
-    separately since the two move independently along the band.
+    separately since the two move independently along the band. A band
+    whose basis functions each move one variable gives no rates.
     """
     if region.kind.is_elliptical:
         raise WrongKind("marginal rates are defined for hyperbolic regions only")
@@ -160,6 +158,4 @@ def marginal_rates(region: RegionParametrization) -> list[ConversionRate]:
                     branch=tag,
                     bound=region.bound,
                 ))
-    if not rates:
-        raise ZeroCoefficient("no variable pair shares a basis function in this region")
     return rates

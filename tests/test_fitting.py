@@ -175,6 +175,16 @@ class TestFRank:
         assert {s.label: s.f_value for s in result.term_stats} == {"a": np.inf, "b": 0.0}
         assert result.ranking == ("a", "b")
 
+    def test_report_of_an_exact_fit(self):
+        x0 = np.tile([-1.0, -1.0, 1.0, 1.0], 4)
+        x1 = np.tile([-1.0, 1.0, -1.0, 1.0], 4)
+        d = Dataset(X=np.column_stack([x0, x1]), y=3.0 + 2.0 * x0, names=("a", "b"))
+        assert ols_fit(d, [(0,), (1,)], exponent=1.0).to_text() == (
+            "SSE = 0\n"
+            "rank term        coefficient      F\n"
+            "   1 a                     +2        inf\n"
+            "   2 b                     +0          0\n")
+
     def test_null_term_ranked_last(self):
         terms = [(0,), (1,)]
         d = synthetic_dataset([1.0, 5.0, 0.0], terms, rows=120, noise=0.1)

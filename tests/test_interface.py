@@ -561,6 +561,40 @@ class TestCli:
         assert main(["tradeoff", str(rc.bundled_eu_model_path())]) == 0
         assert capsys.readouterr().out == (GOLDEN / "eu_tradeoff.txt").read_text()
 
+    # written from the bundled model before the CLI stopped formatting numbers
+    @pytest.mark.parametrize("golden, centered", [("eu_analyze.txt", False),
+                                                  ("eu_analyze_center.txt", True)])
+    def test_analyze_text_matches_golden(self, capsys, golden, centered):
+        path = rc.bundled_eu_model_path()
+        center = rc.load_model_document(path)["reference_region_center"]
+        extra = ["--center", ",".join(map(repr, center))] if centered else []
+        assert main(["analyze", str(path), *extra]) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+    def test_tradeoff_writes_the_report_lines(self, model_path, capsys):
+        report = rc.run_analysis(rc.load_model(model_path), pairs=[])
+        assert main(["tradeoff", model_path]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{line}\n" for line in report.tradeoff_lines(with_bound=True))
+
+    def test_tradeoff_without_relations_writes_nothing(self, tmp_path, capsys):
+        # a maximum: no pair of axes offsets the other
+        path = two_variable_model_file(tmp_path / "max.json",
+                                       [(["x", "x"], -1.0), (["y", "y"], -2.0)])
+        assert main(["tradeoff", path]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["tradeoff", path, "-o", str(tmp_path / "t.txt")]) == 0
+        assert (tmp_path / "t.txt").read_bytes() == b""
+
+    def test_uncoupled_band_has_no_marginal_rates(self, tmp_path, capsys):
+        # axis-aligned eigenvectors: each basis function moves one variable
+        path = two_variable_model_file(tmp_path / "m.json", [
+            (["x"], 1.0), (["x", "x"], -1.0), (["y", "y"], 2.0)])
+        assert main(["analyze", path, "--pairs", "1,2", "--format", "json"]) == 0
+        assert '"marginal_rates": []' in capsys.readouterr().out
+        assert main(["tradeoff", path]) == 0
+        assert "x = 1.41421 y" in capsys.readouterr().out
+
     def test_analyze_does_not_import_numpy_ma(self):
         # numpy.ma costs every CLI process a few ms of start-up
         code = ("import runpy, sys\n"
@@ -636,6 +670,18 @@ class TestCli:
             assert g.split()[:3] == w.split()[:3]  # rank, label, coefficient
             assert float(g.split()[3]) == pytest.approx(float(w.split()[3]), rel=1e-8)
 
+    def test_fit_writes_the_fit_report(self, tmp_path, capsys, monkeypatch):
+        write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "emissions.csv", "--terms", "Li,Ga,Fl,Li:Li,Ga:Bu,Bu:Bu,Li:Fl",
+                     "--exponent", "-2.376", "--exclude-years", "1964", "-o", "fit.json"]) == 0
+        _, totals = rc.load_emissions("emissions.csv", exclude_years=[1964])
+        data = rc.Dataset(X=totals.values, y=np.array(totals.co2_ppmv), names=EMISSIONS_NAMES)
+        result = rc.ols_fit(data, [(0,), (1,), (2,), (0, 0), (1, 3), (3, 3), (0, 2)], -2.376,
+                            response_label="CO2 ppmv")
+        assert capsys.readouterr().out == (
+            "fit over 29 years; " + result.to_text() + "model written to fit.json\n")
+
     @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf", "5e-324"])
     def test_fit_exponent_without_finite_reciprocal(self, tmp_path, capsys, exponent):
         write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
@@ -699,6 +745,14 @@ def saddle_model_file(path):
     path.write_text(json.dumps({
         "variables": ["x", "y"], "exponent": 1.0, "intercept": 0.0,
         "terms": [{"vars": ["x", "x"], "coef": 1.0}, {"vars": ["y", "y"], "coef": -1.0}]}))
+    return str(path)
+
+
+def two_variable_model_file(path, terms):
+    """A model over x and y with the given (variables, coefficient) terms."""
+    path.write_text(json.dumps({
+        "variables": ["x", "y"], "exponent": 1.0, "intercept": 0.0,
+        "terms": [{"vars": names, "coef": coef} for names, coef in terms]}))
     return str(path)
 
 

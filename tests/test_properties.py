@@ -625,10 +625,7 @@ def hyperbolic_pairs(canon):
 def band_rates(canon, i, j, bound):
     """(from, to, basis) labels and ratios of the band's marginal rates;
     both empty when no variable pair shares a basis function."""
-    try:
-        rates = rc.marginal_rates(rc.hyperbola_region(canon, i, j, bound))
-    except rc.ZeroCoefficient:
-        return [], []
+    rates = rc.marginal_rates(rc.hyperbola_region(canon, i, j, bound))
     return [(r.from_variable, r.to_variable, r.branch) for r in rates], [r.ratio for r in rates]
 
 
