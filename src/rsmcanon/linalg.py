@@ -1,18 +1,17 @@
 """Dense symmetric linear algebra for small matrices.
 
 The eigensolver is a Jacobi iteration that applies each sweep's
-row-cyclic rotations in wavefront steps of disjoint pairs (per step one
-gather into Python floats, the rotation angles in scalar arithmetic,
-one hypot call, one scatter into J and two products, the second over
-the matrix stacked on its eigenvectors), rotates only above a relative
-threshold, so graded matrices keep high relative accuracy, and stops
-when a test of all pairs before a sweep finds none to rotate (exact, as
-only rotations change the matrix). Order and sign convention are fixed:
-identical inputs give bit-identical output on one platform with
-a fixed BLAS thread count, and across thread counts up to n = 64.
-Everything here is scale-free; physical units live in the model layer.
-This lowest layer owns the finite-input rules that every module uses:
-``SymMatrix`` takes a square matrix of finite entries, and
+row-cyclic rotations in wavefront steps of disjoint pairs, rotates only
+above a relative threshold, so graded matrices keep high relative
+accuracy, and stops when a test of all pairs before a sweep finds none to
+rotate (exact, as only rotations change the matrix). It sweeps a copy
+scaled exactly, by a power of four, to max|a| in [1/4, 1), so only an
+eigenvalue past the largest float can overflow (NumericalError). Order
+and sign convention are fixed: identical inputs give bit-identical output
+on one platform with a fixed BLAS thread count, and across thread counts
+up to n = 64. Everything here is scale-free; physical units live in the
+model layer. This lowest layer owns the finite-input rules that every
+module uses: ``SymMatrix`` takes a square matrix of finite entries, and
 ``check_point`` a vector of shape (n,) with n finite entries.
 
 One rule says when an eigenvalue counts as zero: ``small_axes`` marks
@@ -119,40 +118,42 @@ class EigenDecomposition:
 def jacobi_eigen(matrix) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by Jacobi rotations.
 
-    Indices are first ordered by descending |a_pp|. Each sweep runs the
-    steps of ``_wavefront``, rotating a step's disjoint pairs (p, q) at
-    once as one orthogonal J: a <- J' a J, v <- v J. A step gathers
-    (a_pq, a_pp, a_qq) in one read, as Python floats; a pair rotates only
-    while |a_pq| > JACOBI_TOL sqrt|a_pp| sqrt|a_qq| (Demmel & Veselic,
-    1992), which keeps graded matrices to high relative accuracy. With at
-    most n/2 pairs a step, numpy calls would cost more in overhead than in
-    arithmetic, so the test and the angles take scalar operations: the
-    IEEE operations of the elementwise numpy form, in its order, so the
-    same bits. hypot(a_qq - a_pp, 2 a_pq) stays one numpy call per step:
-    math.hypot rounds differently from the C library hypot behind
-    np.hypot, in the last bit of about 0.6% of standard normal pairs. J
-    is written in one scatter, and v is kept under a in one 2n x n array,
-    so one product [J'a; v] J updates both and a still rounds as (J'a) J.
-    Before each sweep all pairs take the step test at once; if none would
-    rotate, the iteration ends, with no idle sweep. That is exact: only
-    rotations change the matrix, so a sweep's first rotating step sees it
-    as the sweep began.
+    Indices are first ordered by descending |a_pp|, and a is scaled by 4^k,
+    the power of four that puts max|a| in [1/4, 1); the eigenvalues are
+    scaled back. The scale is exact, as sqrt(4^k x) = 2^k sqrt x and t, c,
+    s do not depend on it: short of subnormals it changes no bit, and no
+    angle or product can overflow. Each sweep runs the steps of
+    ``_wavefront``, rotating a step's disjoint pairs (p, q) at once as one
+    orthogonal J: a <- J' a J, v <- v J. A step gathers (a_pq, a_pp, a_qq)
+    in one read, as Python floats; a pair rotates only while
+    |a_pq| > JACOBI_TOL sqrt|a_pp| sqrt|a_qq| (Demmel & Veselic, 1992),
+    which keeps graded matrices to high relative accuracy. With at most n/2
+    pairs a step, numpy calls would cost more in overhead than in
+    arithmetic, so the test and the angles take scalar operations: the IEEE
+    operations of the elementwise numpy form, in its order, so the same
+    bits. hypot(a_qq - a_pp, 2 a_pq) stays one numpy call per step:
+    math.hypot rounds differently from the C library hypot behind np.hypot,
+    in the last bit of about 0.6% of standard normal pairs. J is written in
+    one scatter, and v is kept under a in one 2n x n array, so one product
+    [J'a; v] J updates both and a still rounds as (J'a) J. Before each
+    sweep all pairs take the step test at once; if none would rotate, the
+    iteration ends, with no idle sweep. That is exact: only rotations
+    change the matrix, so a sweep's first rotating step sees it as the
+    sweep began.
 
     Raises NonConvergence if a sweep after the first JACOBI_MAX_SWEEPS,
     read at call time, would still rotate: pathological input, as any
     finite symmetric matrix of this size converges in a handful of sweeps.
-    Raises NumericalError if a rotation overflows, that is, if
-    |h| + hypot(h, 2 a_pq) with h = a_qq - a_pp does, which bounds every
-    other quantity of the angle; np.hypot may warn first. That takes an
-    entry above a sixth of the largest float.
+    Raises NumericalError if an eigenvalue exceeds the largest float.
     """
     source = as_sym_matrix(matrix)
     n = source.n
     # largest |a_pp| first: the row-cyclic order then keeps graded
     # indefinite matrices accurate, whatever their input order
     perm = np.argsort(-np.abs(source.array.diagonal()), kind="stable")
+    k = -((math.frexp(np.abs(source.array).max())[1] + 1) // 2)  # 4^k max|a| in [1/4, 1)
     eye = np.eye(n)
-    av = np.vstack((source.array[perm][:, perm], eye[:, perm]))  # a over v
+    av = np.vstack((np.ldexp(source.array[perm][:, perm], 2 * k), eye[:, perm]))  # a over v
     rotations = 0
     for sweep in itertools.count():
         g = av.take(_all_pairs(n))  # every pair, as this sweep begins
@@ -175,13 +176,8 @@ def jacobi_eigen(matrix) -> EigenDecomposition:
             h = [y - x for x, y in zip(app, aqq)]
             c, s = [], []
             for x, y, r in zip(apq, h, np.hypot(h, [2.0 * x for x in apq]).tolist()):
-                # tan of the angle that annihilates a_pq, in a form that cannot
-                # overflow unless |h| + hypot(h, 2 a_pq) does
-                r += abs(y)
-                if not r < math.inf:
-                    raise NumericalError(f"a Jacobi rotation overflows: a_pq = {x!r}, "
-                                         f"a_qq - a_pp = {y!r}")
-                t = math.copysign(2.0, y) * x / r
+                # tan of the angle that annihilates a_pq; no overflow for tiny a_pq
+                t = math.copysign(2.0, y) * x / (abs(y) + r)
                 cos = 1.0 / math.sqrt(1.0 + t * t)
                 c.append(cos)
                 s.append(t * cos)
@@ -191,7 +187,10 @@ def jacobi_eigen(matrix) -> EigenDecomposition:
             av = av @ j  # [J'a; v] J: a <- J'aJ and v <- vJ
             av.put(scatter[2:], 0.0)  # a_pq and a_qp, zero in exact arithmetic
 
-    diag = av.diagonal()  # of a, the top n rows
+    with np.errstate(over="ignore"):
+        diag = np.ldexp(av.diagonal(), -2 * k)  # of a, the top n rows
+    if not np.isfinite(diag).all():
+        raise NumericalError("an eigenvalue exceeds the largest float")
     order = np.lexsort((-diag, -np.abs(diag)))  # descending |lambda|, then lambda
     lambdas, vectors = diag[order], np.ascontiguousarray(av[n:, order])
     vectors *= np.where(vectors[np.abs(vectors).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)

@@ -726,6 +726,22 @@ class TestCli:
         rates = json.loads(capsys.readouterr().out)["regions"][0]["marginal_rates"]
         assert rates and all(r["bound"] == 1e-34 for r in rates)
 
+    def test_analyze_near_the_float_limit(self, tmp_path, capsys):
+        # B = [[0.8, 0.4], [0.4, -0.8]] 1e308, whose eigenvalues are representable
+        path = two_variable_model_file(tmp_path / "huge.json", [
+            (["x"], 1.0), (["x", "x"], 0.4e308), (["x", "y"], 0.4e308), (["y", "y"], -0.4e308)])
+        assert main(["analyze", path]) == 0
+        out = capsys.readouterr().out
+        assert "eigenvalue -8.94427191e+307" in out and "eigenvalue 8.94427191e+307" in out
+
+    def test_analyze_eigenvalue_past_the_float_limit(self, tmp_path, capsys):
+        # B = [[1.7, 0.1], [0.1, 1.7]] 1e308 has lambda = 1.8e308
+        path = two_variable_model_file(tmp_path / "huge.json", [
+            (["x", "x"], 0.85e308), (["x", "y"], 1e307), (["y", "y"], 0.85e308)])
+        assert main(["analyze", path]) == 3
+        err = one_error_line(capsys, "NumericalError")
+        assert "[canonical] an eigenvalue exceeds the largest float" in err
+
     def test_output_files_get_umask_mode(self, eu_model, model_path, tmp_path):
         old = os.umask(0o022)
         try:

@@ -1,7 +1,8 @@
 """Eigensolver, the zero-eigenvalue rule, and solve.
 
 Ground truth comes from numpy.linalg (kept out of the package itself),
-from 50-digit mpmath for graded matrices, and from small closed-form
+from 50-digit mpmath for graded matrices, 40-digit mpmath for entries
+near the largest float, and from small closed-form
 oracles: trace, cofactor determinants, and multiply-back residuals.
 ``small_axes`` is the one rule for an eigenvalue that counts as zero,
 |lambda| <= factor * max|lambda|; the tests pin its boundary, where an
@@ -267,24 +268,29 @@ class TestJacobiEigen:
         np.testing.assert_allclose(np.sort(eig.lambdas), ref, rtol=0.0,
                                    atol=1e-14 * np.abs(ref).max())
 
-    def test_overflowing_rotation_raises(self):
-        # |h| + hypot(h, 2 a_pq) = 1.6e308 + 1.79e308 overflows; the
-        # eigenvalues are +-8.944e307, and a silent overflow gives +-8e307
+    @pytest.mark.parametrize("matrix", [[[0.8e308, 0.4e308], [0.4e308, -0.8e308]],
+                                        [[0.9e308, 0.4e308], [0.4e308, -0.8e308]],
+                                        [[1.0, 1e308], [1e308, 1.0]]],
+                             ids=["sum", "hypot", "two_apq"])
+    def test_near_float_limit_matches_mpmath(self, matrix):
+        # unscaled, |h| + hypot(h, 2 a_pq), the hypot itself or 2 a_pq would
+        # overflow; the scaled sweeps find the representable eigenvalues
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="rotation overflows") as err:
-                jacobi_eigen([[0.8e308, 0.4e308], [0.4e308, -0.8e308]])
-        assert err.value.exit_code == 3
+            eig = jacobi_eigen(matrix)
+        with mpmath.workdps(40):
+            ref = sorted(float(x) for x in mpmath.eigsy(mpmath.matrix(matrix),
+                                                         eigvals_only=True))
+        np.testing.assert_allclose(np.sort(eig.lambdas), ref, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("matrix", [[[0.9e308, 0.4e308], [0.4e308, -0.8e308]],
-                                        [[1.0, 1e308], [1e308, 1.0]]],
-                             ids=["hypot", "two_apq"])
-    def test_rotation_overflowing_earlier_raises(self, matrix):
-        # hypot(h, 2 a_pq) itself, or 2 a_pq, overflows; np.hypot may warn first
+    def test_eigenvalue_past_the_largest_float_raises(self):
+        # lambda = 1.8e308 is past the float range
         with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "overflow encountered in hypot", RuntimeWarning)
-            with pytest.raises(NumericalError, match="rotation overflows"):
-                jacobi_eigen(matrix)
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="an eigenvalue exceeds the largest float") as err:
+                jacobi_eigen([[1.7e308, 1e307], [1e307, 1.7e308]])
+        assert err.value.exit_code == 3
 
     def test_zero_matrix(self):
         eig = jacobi_eigen(np.zeros((3, 3)))

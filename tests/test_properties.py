@@ -29,7 +29,10 @@ when ``small_axes`` finds an axis and names those axes, and
 ``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based. Scaling B and
 beta by a power of ten down to 1e-300, where eigenvalue products
 underflow, moves no region kind, no ``iso_slopes`` verdict, no default
-pairing and no region kind of an analysis.
+pairing and no region kind of an analysis. Scaling A, or b0, beta, B
+and M, by a power of four 4^j, from near the smallest normal float to
+near the largest, scales the eigenvalues, Y0 and the bounds exactly
+and moves no other bit of the eigensolver or of an analysis.
 """
 
 import hashlib
@@ -42,7 +45,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -498,6 +501,36 @@ def test_jacobi_stops_with_oracle_at_the_threshold(m):
     assert_matches_oracle(m)
 
 
+def power_of_four_range(values, headroom=0):
+    """(lo, hi): the j for which every nonzero |value| 4^j is a normal float
+    and 2^headroom times the largest is finite. Empty (lo > hi) unless every
+    nonzero value is normal itself."""
+    mags = np.abs(np.asarray(values, dtype=float).ravel())
+    mags = mags[mags > 0.0]
+    if not mags.size or mags.min() < sys.float_info.min:
+        return 1, 0
+    lo = -((1021 + math.frexp(mags.min())[1]) // 2)
+    return lo, (1024 - headroom - math.frexp(mags.max())[1]) // 2
+
+
+@given(jacobi_input() | graded_model().map(lambda case: case[0].interaction.array), st.data())
+def test_jacobi_free_of_power_of_four_scale(m, data):
+    """Scaling A by 4^j scales every eigenvalue by exactly 4^j and moves no
+    bit of the eigenvectors, wherever no entry or eigenvalue is subnormal
+    or overflows: for j drawn from [-500, 500], and at both ends of the
+    range, where entries come near the smallest normal or the largest
+    float."""
+    a = rc.SymMatrix(m).array
+    eig = rc.jacobi_eigen(a)
+    lo, hi = power_of_four_range(np.concatenate((a.ravel(), eig.lambdas)))
+    assume(lo <= hi)
+    for j in (lo, hi, data.draw(st.integers(max(lo, -500), min(hi, 500)), label="j")):
+        got = rc.jacobi_eigen(np.ldexp(a, 2 * j))
+        assert got.lambdas.tobytes() == np.ldexp(eig.lambdas, 2 * j).tobytes()
+        assert got.vectors.tobytes() == eig.vectors.tobytes()
+        assert (got.sweeps, got.rotations) == (eig.sweeps, eig.rotations)
+
+
 def normal_matrix(variables, terms, seed):
     """Unit-norm-column normal matrix of a seeded 50-row design with an
     intercept and ``terms`` (index tuples) over columns spread across
@@ -696,6 +729,52 @@ def test_sign_rule_free_of_scale(model, decades):
     sign, so nothing that rests on the signs may move, even where the
     product of two eigenvalues underflows."""
     assert sign_outcomes(scaled(model, 10.0 ** -decades)) == sign_outcomes(model)
+
+
+def without(mapping, key):
+    """``mapping`` without ``key``, nor any mapping in a list that it holds."""
+    return {k: [without(x, key) if isinstance(x, dict) else x for x in v] if isinstance(v, list)
+            else v for k, v in mapping.items() if k != key}
+
+
+def scale_free_parts(report):
+    """The report sections that scaling b0, beta, B and M by one factor must
+    not move: all but the model, the bounds, lambda and Y0."""
+    return (without(report.canonical, "y0"), without(report.eigen, "eigenvalues"),
+            [without(section, "bound") for section in report.regions], report.tradeoff)
+
+
+@given(st.just((rc.load_bundled_eu_model(), 1e-8)) | graded_model(), st.data())
+def test_analysis_free_of_power_of_four_scale(case, data):
+    """Scaling b0, beta, B and M by 4^j scales lambda, Y0 and the bounds
+    by exactly 4^j and moves no bit of the center, the axes, the regions,
+    the slopes or the rates, over every pair, wherever no value on that
+    path is subnormal or overflows: an absolute tolerance in any stage
+    would break it."""
+    model, bound = case
+    pairs = list(itertools.combinations(range(1, model.n + 1), 2))
+    report = rc.run_analysis(model, pairs=pairs, bound=bound)
+    canon = rc.canonicalize(model)
+    beta, v = model.linear, canon.axes
+    # the inputs and what scales with them: lambda, the products and sums
+    # of V'beta in solve, and the terms and sum of beta'w in Y0; a sum of
+    # up to six terms takes three bits of headroom
+    lo, hi = power_of_four_range(np.concatenate((
+        [model.intercept, bound, canon.y0, beta @ canon.center], beta,
+        model.interaction.array.ravel(), canon.lambdas, (v * beta[:, None]).ravel(), v.T @ beta,
+        beta * canon.center)), headroom=3)
+    assume(lo <= hi)
+    for j in (lo, hi, data.draw(st.integers(max(lo, -500), min(hi, 500)), label="j")):
+        scaled_model = rc.QuadraticModel(
+            model.names, math.ldexp(model.intercept, 2 * j), np.ldexp(beta, 2 * j),
+            rc.SymMatrix(np.ldexp(model.interaction.array, 2 * j)), model.exponent)
+        got = rc.run_analysis(scaled_model, pairs=pairs, bound=math.ldexp(bound, 2 * j))
+        assert scale_free_parts(got) == scale_free_parts(report)
+        assert got.eigen["eigenvalues"] == np.ldexp(report.eigen["eigenvalues"], 2 * j).tolist()
+        assert got.canonical["y0"] == math.ldexp(report.canonical["y0"], 2 * j)
+        bounds = {row["bound"] for section in got.regions
+                  for row in [section, *section.get("marginal_rates", [])]}
+        assert bounds == {math.ldexp(bound, 2 * j)}
 
 
 def reject_constant(name):
