@@ -1,13 +1,15 @@
 """Least-squares fitting of second-order models on the transformed scale.
 
 Takes a dataset of attributable-variable rows with a natural-units
-response, applies the power transform, and solves the normal equations
-with the package's own symmetric solver. Term relevance is ranked by
-the partial F statistic: the SSE increase from dropping term k is
-b_k^2 / [(X'X)^-1]_kk (the extra-sum-of-squares identity; Draper &
-Smith, Applied Regression Analysis), compared to the full-model
-residual variance. The full fit's one eigendecomposition gives every
-F; no term is refit out of the model.
+response, applies the power transform, and solves least squares
+through a column-pivoted QR of the design, X P = Q R. The package's
+own symmetric solver decomposes R R' once, which gives the SVD of R;
+X'X, which would square the condition number, is never formed. Term
+relevance is ranked by the partial F statistic: the SSE increase from
+dropping term k is b_k^2 / [(X'X)^-1]_kk (the extra-sum-of-squares
+identity; Draper & Smith, Applied Regression Analysis), compared to
+the full-model residual variance. The one eigendecomposition gives
+every F; no term is refit out of the model.
 
 No silent regularization: a rank-deficient design raises instead of
 falling back to ridge, so rankings stay deterministic and comparable.
@@ -15,6 +17,7 @@ falling back to ridge, so rankings stay deterministic and comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,31 +113,76 @@ def _design_matrix(d: Dataset, term_indices) -> np.ndarray:
                            + [d.X[:, list(idx)].prod(axis=1) for idx in term_indices])
 
 
-def _normal_solve(design: np.ndarray, yt: np.ndarray,
-                  labels) -> tuple[np.ndarray, float, np.ndarray]:
-    """Least squares via the normal equations, rank-checked by ``small_axes``.
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin QR of ``a`` with greedy column pivoting: a[:, order] = Q R.
 
-    Columns are equilibrated to unit norm before forming the normal
-    matrix so the rank check measures collinearity rather than
-    units (emissions columns span many orders of magnitude). The
-    scaling is undone exactly on the way out; it is not regularization.
+    Each step takes the column of largest remaining squared norm (the
+    first on a tie) and orthogonalizes the original column against Q
+    twice, classical Gram-Schmidt with one reorthogonalization (CGS2),
+    which leaves Q orthogonal to working precision (Giraud, Langou &
+    Rozloznik, 2005). The remaining norms are downdated by (q_j' a)^2.
+    A column with zero remaining norm gets q_j = 0.
+    """
+    cols = a.shape[1]
+    qt, r = np.zeros((cols, a.shape[0])), np.zeros((cols, cols))  # Q' by rows
+    norms = (a * a).sum(axis=0)
+    order = np.empty(cols, dtype=int)
+    for j in range(cols):
+        c = order[j] = norms.argmax()
+        done = qt[:j]
+        g = done @ a[:, c]
+        v = a[:, c] - g @ done
+        e = done @ v
+        v -= e @ done
+        r[:j, j] = g + e
+        r[j, j] = math.sqrt(v @ v)
+        if r[j, j] > 0.0:
+            qt[j] = v / r[j, j]
+        w = qt[j] @ a
+        norms -= w * w
+        norms[c] = -math.inf
+    return qt.T, r, order
+
+
+def _qr_solve(design: np.ndarray, yt: np.ndarray,
+              labels) -> tuple[np.ndarray, float, np.ndarray]:
+    """Least squares through a column-pivoted QR, rank-checked by ``small_axes``.
+
+    Columns are equilibrated to unit norm first so the rank check
+    measures collinearity rather than units (emissions columns span
+    many orders of magnitude); the scaling is undone exactly on the way
+    out, it is not regularization. With X~[:, order] = Q R, the one
+    eigendecomposition R R' = U diag(lambda) U' gives the SVD of R:
+    sigma = sqrt(lambda), U its left singular vectors and V = R' U / sigma
+    its right ones. Pivoting grades R R' so that Jacobi converges in a
+    few sweeps (Drmac & Veselic, 2008), and X~'X~ is never formed.
     Returns the coefficients, the SSE, and per column the SSE increase
-    from dropping it, b_k^2 / [S^-1]_kk on the equilibrated scale; the
-    diagonal of S^-1 comes from the same eigenpairs as the solve.
+    from dropping it, b_k^2 / [(X~'X~)^-1]_kk on the equilibrated scale,
+    with that diagonal (V o V)(1 / lambda) from the same eigenpairs. With
+    d small sigma, RankDeficient names the columns that load on the null
+    vectors of R found from its leading (p - d) x (p - d) block.
     """
     norms = np.sqrt((design * design).sum(axis=0))
     safe = np.where(norms > 0.0, norms, 1.0)  # a zero column stays rank deficient
-    scaled = design / safe
-    eig = jacobi_eigen(SymMatrix(scaled.T @ scaled))
+    q, r, order = _pivoted_qr(design / safe)
+    eig = jacobi_eigen(SymMatrix(r @ r.T))
     small = small_axes(eig.lambdas, DEFAULT_COND_TOL)
     if small.size:
+        # one null vector [-R11^-1 r_j; e_j] per trailing column j; on the
+        # upper triangular R11, LU leaves the rows alone: back substitution
+        lead = r.shape[0] - small.size
+        null = np.vstack((np.linalg.solve(r[:lead, :lead], -r[:lead, lead:]),
+                          np.eye(small.size)))
+        null /= np.sqrt((null * null).sum(axis=0))
         # a column is blamed when it loads above 0.3 on a null direction
-        blamed = [labels[c] for k in small
-                  for c in np.flatnonzero(np.abs(eig.vectors[:, k]) > 0.3)]
+        blamed = np.sort(order[(np.abs(null) > 0.3).any(axis=1)])
         raise RankDeficient("design matrix is rank deficient; collinear columns: "
-                            f"{list(dict.fromkeys(blamed))}")
-    scaled_coef = eig.vectors @ ((eig.vectors.T @ (scaled.T @ yt)) / eig.lambdas)
-    inv_diag = (eig.vectors * eig.vectors) @ (1.0 / eig.lambdas)
+                            f"{[labels[c] for c in blamed]}")
+    sigma = np.sqrt(eig.lambdas)
+    v = (r.T @ eig.vectors) / sigma
+    scaled_coef, inv_diag = np.empty_like(sigma), np.empty_like(sigma)
+    scaled_coef[order] = v @ ((eig.vectors.T @ (yt @ q)) / sigma)
+    inv_diag[order] = (v * v) @ (1.0 / eig.lambdas)
     coef = scaled_coef / safe
     resid = yt - design @ coef
     return coef, float(resid @ resid), scaled_coef * scaled_coef / inv_diag
@@ -163,7 +211,7 @@ def ols_fit(d: Dataset, terms, exponent: float,
     yt = transform_response(d.y, exponent)
     labels = ["1"] + [t.label(d.names) for t in terms]
     design = _design_matrix(d, [t.indices for t in terms])
-    coef, sse_full, increase = _normal_solve(design, yt, labels)
+    coef, sse_full, increase = _qr_solve(design, yt, labels)
 
     scale = sse_full / (d.rows - p - 1)  # the residual variance
     if scale > 0.0:

@@ -1,5 +1,6 @@
 """OLS fitting on the transformed scale and partial-F ranking."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -132,6 +133,25 @@ class TestOlsFit:
             ols_fit(d, [(0,), (1,)], exponent=1.0)
         assert "a" in str(err.value) and "b" in str(err.value)
 
+    def test_every_collinear_column_named_from_one_decomposition(self, monkeypatch):
+        # a copy, a multiple and a zero column: a three-dimensional null space
+        rng = np.random.default_rng(7)
+        a, b, e = rng.uniform(0.5, 2.0, size=(3, 30))
+        x = np.column_stack([a, a, b, 2.0 * b, np.zeros(30), e])
+        d = Dataset(X=x, y=a + b + e + 0.1 * rng.standard_normal(30), names=tuple("abcdze"))
+        real, calls = fitting.jacobi_eigen, []
+
+        def counting(matrix):
+            calls.append(1)
+            return real(matrix)
+
+        monkeypatch.setattr(fitting, "jacobi_eigen", counting)
+        with pytest.raises(RankDeficient) as err:
+            ols_fit(d, [(k,) for k in range(6)], exponent=1.0)
+        assert str(err.value) == ("design matrix is rank deficient; "
+                                  "collinear columns: ['a', 'b', 'c', 'd', 'z']")
+        assert len(calls) == 1
+
     def test_too_few_rows(self):
         d = Dataset(X=np.ones((4, 2)), y=np.ones(4), names=("a", "b"))
         with pytest.raises(TooFewRows):
@@ -250,3 +270,35 @@ class TestFitProperties:
         assert second.model.intercept == pytest.approx(first.model.intercept, rel=1e-10)
         for s1, s2 in zip(first.term_stats, second.term_stats):
             assert s2.coefficient == pytest.approx(s1.coefficient, rel=1e-10)
+
+
+def graded_quadratic(seed, rows=40):
+    """A noisy full quadratic in four variables (p = 14) whose columns
+    span six decades: x_i in [1, 2] 10^i, so x_3^2 reaches 4e6."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(1.0, 2.0, size=(rows, 4)) * 10.0 ** np.arange(4)
+    terms = [(i,) for i in range(4)] + [(i, j) for i in range(4) for j in range(i, 4)]
+    design = np.column_stack([np.ones(rows)] + [x[:, list(t)].prod(axis=1) for t in terms])
+    signal = design @ (rng.uniform(-1.0, 1.0, design.shape[1]) / np.linalg.norm(design, axis=0))
+    y = signal + 0.05 * signal.std() * rng.standard_normal(rows)
+    return Dataset(X=x, y=y, names=("a", "b", "c", "e")), terms, design
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_graded_fit_matches_a_50_digit_refit(seed):
+    # forming X'X squares the condition number and misses by about 1e-9 here
+    d, terms, design = graded_quadratic(seed)
+    result = ols_fit(d, terms, exponent=1.0)
+    p = len(terms)
+    with mpmath.workdps(50):
+        x, y = mpmath.matrix(design.tolist()), mpmath.matrix(d.y.tolist())
+        inv = (x.T * x) ** -1
+        coef = inv * (x.T * y)
+        resid = y - x * coef
+        scale = sum(r * r for r in resid) / (d.rows - p - 1)
+        f_ref = [float(coef[k] ** 2 / inv[k, k] / scale) for k in range(1, p + 1)]
+        coef_ref = [float(c) for c in coef]
+    assert result.model.intercept == pytest.approx(coef_ref[0], rel=1e-10)
+    for stat, c, f in zip(result.term_stats, coef_ref[1:], f_ref):
+        assert stat.coefficient == pytest.approx(c, rel=1e-10)
+        assert stat.f_value == pytest.approx(f, rel=1e-10)

@@ -400,13 +400,16 @@ def test_one_eigendecomposition_per_fit(case):
 
 def jacobi_oracle(matrix, max_sweeps=linalg.JACOBI_MAX_SWEEPS, tol=linalg.JACOBI_TOL):
     """``jacobi_eigen`` without the sweep-start test: every sweep runs its
-    steps, and the iteration ends after one that rotates nothing.
+    steps, and the iteration ends after one that rotates nothing. Like the
+    solver, it sweeps a copy scaled by the power of four 4^k that puts
+    max|a| in [1/4, 1) and scales the diagonal back by 4^-k.
     Returns (lambdas, vectors, sweeps that rotated, rotations)."""
     a = rc.SymMatrix(matrix).array
     n = a.shape[0]
     perm = np.argsort(-np.abs(a.diagonal()), kind="stable")
+    k = -((math.frexp(np.abs(a).max())[1] + 1) // 2)
     eye = np.eye(n)
-    av = np.vstack((a[perm][:, perm], eye[:, perm]))
+    av = np.vstack((np.ldexp(a[perm][:, perm], 2 * k), eye[:, perm]))
     rotations = 0
     for sweep in itertools.count():
         rotated = False
@@ -434,7 +437,7 @@ def jacobi_oracle(matrix, max_sweeps=linalg.JACOBI_MAX_SWEEPS, tol=linalg.JACOBI
             av.put(scatter[2:], 0.0)
         if not rotated:
             break
-    diag = av.diagonal()
+    diag = np.ldexp(av.diagonal(), -2 * k)
     order = np.lexsort((-diag, -np.abs(diag)))
     lambdas, vectors = diag[order], np.ascontiguousarray(av[n:, order])
     vectors *= np.where(vectors[np.abs(vectors).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
@@ -492,6 +495,10 @@ def test_jacobi_bit_identical_to_oracle(m):
 
 
 @given(jacobi_input(), st.integers(0, 3))
+@example(np.array([[4.45014771704e-312, 1.407260271004e-312],
+                   [1.407260271004e-312, 4.45014771704e-313]]), 1)
+@example(np.full((2, 2), 4.4501477170436e-311), 1)
+@example(np.full((3, 3), 4.45014771704e-313), 1)
 def test_jacobi_raises_with_oracle_under_a_sweep_limit(m, max_sweeps):
     assert_matches_oracle(m, max_sweeps)
 
