@@ -45,9 +45,8 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(csv_path, "w") as handle:
         handle.write("\n".join(rows) + "\n")
 
-    table, totals = rc.load_emissions(csv_path, exclude_years=[1964])
-    print(f"Ingested {len(table.rows)} rows over {len(totals.years)} years "
-          f"(1964 excluded, {len(table.rejected)} rejected)")
+    rejected, totals = rc.load_emissions(csv_path, exclude_years=[1964])
+    print(f"Ingested {len(totals.years)} years (1964 excluded, {len(rejected)} rows rejected)")
 
     dataset = rc.Dataset(X=totals.values, y=np.array(totals.co2_ppmv, dtype=float),
                          names=EMISSIONS_NAMES)

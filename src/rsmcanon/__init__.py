@@ -66,8 +66,6 @@ from .model import (
     predict_response,
 )
 from .modelio import (
-    EmissionsRow,
-    EmissionsTable,
     YearlyTotals,
     bundled_eu_model_path,
     emit_plot_csv,
@@ -119,8 +117,7 @@ __all__ = [
     # io / report
     "load_model", "load_model_document", "save_model", "load_emissions",
     "emit_plot_csv", "bundled_eu_model_path", "load_bundled_eu_model",
-    "EmissionsTable", "EmissionsRow", "YearlyTotals",
-    "AnalysisReport", "run_analysis",
+    "YearlyTotals", "AnalysisReport", "run_analysis",
     # errors
     "RsmError", "InputError", "NumericalError", "DimensionMismatch",
     "DuplicateTerm", "IndexOutOfRange", "DomainError", "WrongKind",

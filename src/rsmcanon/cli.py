@@ -116,7 +116,7 @@ def _cmd_fit(args) -> int:
         exclude = [int(y) for y in args.exclude_years.split(",") if y]
     except ValueError as exc:  # its message quotes the entry
         raise InputError(f"--exclude-years: {exc}") from None
-    table, totals = load_emissions(args.data, exclude_years=exclude)
+    rejected, totals = load_emissions(args.data, exclude_years=exclude)
     kept = [k for k, co2 in enumerate(totals.co2_ppmv) if co2 is not None]
     if not kept:
         raise InputError(f"{args.data}: no rows carry a co2_ppmv response")
@@ -131,7 +131,7 @@ def _cmd_fit(args) -> int:
     dropped = len(totals.years) - len(kept)
     sys.stdout.write(f"fit over {len(kept)} years"
                      + (f" ({dropped} without co2_ppmv dropped)" if dropped else "")
-                     + (f"; {len(table.rejected)} rows rejected" if table.rejected else "")
+                     + (f"; {len(rejected)} rows rejected" if rejected else "")
                      + "; " + result.to_text() + f"model written to {args.output}\n")
     return 0
 

@@ -7,9 +7,9 @@ F-values and the like) and never feed computation.
 
 Emissions CSVs have the header
 ``year,country,liquid,gas,gas_flares,bunker[,co2_ppmv]`` with
-quantities in thousand metric tons; ingestion aggregates per-year
-totals across countries and applies a year exclusion list. No unit
-conversion is performed.
+quantities in thousand metric tons; ``load_emissions`` returns the
+rejected rows and the per-year totals across countries, less a year
+exclusion list. No unit conversion is performed.
 
 All file writes go through a write-temp-then-rename path so partial
 output never lands under the target name; a file that already holds
@@ -177,22 +177,6 @@ def file_digest(path) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-@dataclass(frozen=True)
-class EmissionsRow:
-    year: int
-    country: str
-    values: tuple[float, float, float, float]
-    co2_ppmv: float | None
-
-
-@dataclass(frozen=True, eq=False)
-class EmissionsTable:
-    """Accepted rows plus bookkeeping from ingestion."""
-
-    rows: tuple[EmissionsRow, ...]
-    rejected: tuple[tuple[int, str], ...]  # (line number, reason)
-
-
 @dataclass(frozen=True, eq=False)
 class YearlyTotals:
     """Per-year country sums in the (Li, Ga, Fl, Bu) order."""
@@ -202,90 +186,95 @@ class YearlyTotals:
     co2_ppmv: tuple[float | None, ...]
 
 
-def load_emissions(path, exclude_years=()) -> tuple[EmissionsTable, YearlyTotals]:
-    """Ingest an emissions CSV and aggregate per-year totals.
+def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...], YearlyTotals]:
+    """Ingest an emissions CSV; return ``(rejected, totals)``.
 
-    Rows from excluded years are dropped; rows with negative
-    quantities are rejected and flagged rather than aborting the load.
-    Conflicting co2_ppmv values within a year, duplicate
-    (year, country) rows, and malformed or non-finite cells raise
-    ParseError; a blank co2_ppmv cell is allowed.
+    ``totals`` sums the kept rows per year in file order. ``rejected``
+    holds a (line number, reason) pair for each row with a negative
+    quantity, which is left out rather than aborting the load. Rows of
+    excluded years are parsed, so a malformed cell still raises, and
+    dropped before the duplicate, sign and finiteness checks. ParseError
+    names a duplicate (year, country), a malformed or non-finite cell, an
+    overflowing year total, conflicting co2_ppmv within a year, bytes
+    that do not decode or CSV the reader refuses; co2_ppmv may be blank.
     """
     exclude = {int(y) for y in exclude_years}
-    rows: list[EmissionsRow] = []
+    try:
+        with open(path, newline="") as handle:
+            records = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not records:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in records[0]]
+    expected = ["year", "country", *EMISSIONS_FIELDS]
+    has_co2 = header == expected + ["co2_ppmv"]
+    if not has_co2 and header != expected:
+        raise ParseError(f"{path}: header {header} does not match {expected}[,co2_ppmv]")
     rejected: list[tuple[int, str]] = []
     seen: set[tuple[int, str]] = set()
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    kept_years: list[int] = []
+    kept_values: list[tuple[float, float, float, float]] = []
+    co2_pairs: list[tuple[int, float]] = []  # (year, co2_ppmv) of kept rows with a co2 cell
+    for line_no, record in enumerate(records[1:], start=2):
+        if not "".join(record).strip():  # every cell blank
+            continue
+        if len(record) != len(header):
+            raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        expected = ["year", "country", *EMISSIONS_FIELDS]
-        has_co2 = header == expected + ["co2_ppmv"]
-        if not has_co2 and header != expected:
-            raise ParseError(f"{path}: header {header} does not match {expected}[,co2_ppmv]")
-        for line_no, record in enumerate(reader, start=2):
-            if not "".join(record).strip():  # every cell blank
-                continue
-            if len(record) != len(header):
-                raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells")
-            try:
-                year = int(record[0])
-            except ValueError:
-                raise ParseError(f"{path}: line {line_no}, column 'year': {record[0]!r}") from None
-            country = record[1].strip()
-            try:
-                values = (float(record[2]), float(record[3]), float(record[4]), float(record[5]))
-                co2 = float(record[6]) if has_co2 and record[6].strip() else None
-            except ValueError:  # name the first cell that failed
-                for field, cell in zip((*EMISSIONS_FIELDS, "co2_ppmv"), record[2:]):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ParseError(f"{path}: line {line_no}, column {field!r}: {cell!r}") from None
-            if year in exclude:
-                continue
-            if (year, country) in seen:
-                raise ParseError(f"{path}: line {line_no}: duplicate (year, country) "
-                                 f"({year}, {country!r})")
-            seen.add((year, country))
-            if any(v < 0.0 for v in values):
-                rejected.append((line_no, f"negative emission for {country!r} in {year}"))
-                continue
-            if not math.isfinite(sum(values, co2 or 0.0)):  # a cell, or the sum overflowed
-                for field, cell in zip((*EMISSIONS_FIELDS, "co2_ppmv"), record[2:]):
-                    if cell.strip() and not math.isfinite(float(cell)):
-                        raise ParseError(f"{path}: line {line_no}, column {field!r}: "
-                                         f"{cell!r} is not finite")
-            rows.append(EmissionsRow(year, country, values, co2))
+            year = int(record[0])
+        except ValueError:
+            raise ParseError(f"{path}: line {line_no}, column 'year': {record[0]!r}") from None
+        country = record[1].strip()
+        try:
+            values = (float(record[2]), float(record[3]), float(record[4]), float(record[5]))
+            co2 = float(record[6]) if has_co2 and record[6].strip() else None
+        except ValueError:  # name the first cell that failed
+            for field, cell in zip((*EMISSIONS_FIELDS, "co2_ppmv"), record[2:]):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}: line {line_no}, column {field!r}: {cell!r}") from None
+        if year in exclude:
+            continue
+        if (year, country) in seen:
+            raise ParseError(f"{path}: line {line_no}: duplicate (year, country) "
+                             f"({year}, {country!r})")
+        seen.add((year, country))
+        if any(v < 0.0 for v in values):
+            rejected.append((line_no, f"negative emission for {country!r} in {year}"))
+            continue
+        if not math.isfinite(sum(values, co2 or 0.0)):  # a cell, or the sum overflowed
+            for field, cell in zip((*EMISSIONS_FIELDS, "co2_ppmv"), record[2:]):
+                if cell.strip() and not math.isfinite(float(cell)):
+                    raise ParseError(f"{path}: line {line_no}, column {field!r}: "
+                                     f"{cell!r} is not finite")
+        kept_years.append(year)
+        kept_values.append(values)
+        if co2 is not None:
+            co2_pairs.append((year, co2))
 
-    table = EmissionsTable(tuple(rows), tuple(rejected))
-    years = sorted({r.year for r in rows})
+    years = sorted(set(kept_years))
     totals = np.zeros((len(years), len(EMISSIONS_FIELDS)))
-    co2_by_year: dict[int, float] = {}
     pos = {y: k for k, y in enumerate(years)}
     # unbuffered and in row order, so each year sums as a running total would
     with np.errstate(over="ignore"):  # an overflowing total is named below
-        np.add.at(totals, [pos[r.year] for r in rows],
-                  np.reshape([r.values for r in rows], (-1, len(EMISSIONS_FIELDS))))
+        np.add.at(totals, [pos[y] for y in kept_years],
+                  np.reshape(kept_values, (-1, len(EMISSIONS_FIELDS))))
     if not np.isfinite(totals).all():
         k, c = np.argwhere(~np.isfinite(totals))[0]
         raise ParseError(f"{path}: year {years[k]}, column {EMISSIONS_FIELDS[c]!r}: sum overflows")
-    for r in rows:
-        if r.co2_ppmv is not None:
-            prev = co2_by_year.get(r.year)
-            if prev is not None and prev != r.co2_ppmv:
-                raise ParseError(f"{path}: conflicting co2_ppmv for year {r.year}")
-            co2_by_year[r.year] = r.co2_ppmv
+    co2_by_year: dict[int, float] = {}
+    for year, co2 in co2_pairs:
+        if co2_by_year.get(year, co2) != co2:
+            raise ParseError(f"{path}: conflicting co2_ppmv for year {year}")
+        co2_by_year[year] = co2
     totals.setflags(write=False)
-    summary = YearlyTotals(
+    return tuple(rejected), YearlyTotals(
         years=tuple(years),
         values=totals,
         co2_ppmv=tuple(co2_by_year.get(y) for y in years),
     )
-    return table, summary
 
 
 def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFAULT_T_MAX) -> str:

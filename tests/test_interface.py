@@ -224,6 +224,15 @@ class TestModelFiles:
         assert err.getvalue().count("\n") == 1
 
 
+# a Latin-1 country name, and a cell past the csv module's field size limit
+UNREADABLE_CSV = [
+    (f"{EMISSIONS_HEADER}\n2000,\u00d6sterreich,1,1,1,1,316.0\n".encode("latin-1"),
+     "can't decode byte 0xd6"),
+    (f'{EMISSIONS_HEADER}\n2000,"{"x" * 200_000}",1,1,1,1,316.0\n'.encode(),
+     re.escape("field larger than field limit")),
+]
+
+
 def write_emissions(path, rows, header=EMISSIONS_HEADER):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
@@ -267,9 +276,10 @@ class TestEmissions:
             "1964,Austria,2,2,2,2,319.0",
             "1965,Austria,3,3,3,3,320.0",
         ])
-        table, totals = rc.load_emissions(path, exclude_years=[1964])
-        assert totals.years == (1963, 1965)
-        assert all(row.year != 1964 for row in table.rows)
+        rejected, totals = rc.load_emissions(path, exclude_years=[1964])
+        assert rejected == () and totals.years == (1963, 1965)
+        np.testing.assert_array_equal(totals.values, [[1.0] * 4, [3.0] * 4])
+        assert totals.co2_ppmv == (318.0, 320.0)
 
     def test_malformed_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -284,9 +294,9 @@ class TestEmissions:
             "2000,Austria,-5,1,1,1,316.0",
             "2000,Belgium,7,1,1,1,316.0",
         ])
-        table, totals = rc.load_emissions(path)
-        assert len(table.rejected) == 1
-        assert table.rejected[0][0] == 2
+        rejected, totals = rc.load_emissions(path)
+        assert len(rejected) == 1
+        assert rejected[0][0] == 2
         np.testing.assert_allclose(totals.values[0], [7.0, 1.0, 1.0, 1.0])
 
     def test_duplicate_year_country(self, tmp_path):
@@ -308,18 +318,31 @@ class TestEmissions:
         path = tmp_path / "e.csv"
         write_emissions(path, ["2000,Austria,1,2,3,4,316.0", "", ",,,,,,", " , ,\t, , , , ",
                                ",,", "2000,Belgium,5,6,7,8,"])
-        table, totals = rc.load_emissions(path)
-        assert len(table.rows) == 2 and table.rejected == ()
+        rejected, totals = rc.load_emissions(path)
+        assert rejected == () and totals.years == (2000,) and totals.co2_ppmv == (316.0,)
         np.testing.assert_array_equal(totals.values, [[6.0, 8.0, 10.0, 12.0]])
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty file"),
         (EMISSIONS_HEADER + "\n20x0,Austria,1,1,1,1,316.0\n", "line 2, column 'year': '20x0'"),
+        # the first failing check names the problem: a duplicate before its sign,
+        # an overflowing year total before conflicting co2
+        (EMISSIONS_HEADER + "\n2000,Austria,1,1,1,1,316.0\n2000,Austria,-1,1,1,1,316.0\n",
+         "line 3: duplicate (year, country) (2000, 'Austria')"),
+        (EMISSIONS_HEADER + "\n2000,Austria,1e308,1,1,1,316.0\n2000,Belgium,1e308,1,1,1,317.0\n",
+         "year 2000, column 'liquid': sum overflows"),
     ])
     def test_unreadable_file_names_the_problem(self, tmp_path, text, message):
         path = tmp_path / "e.csv"
         path.write_text(text)
         with pytest.raises(rc.ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            rc.load_emissions(path)
+
+    @pytest.mark.parametrize("data, message", UNREADABLE_CSV, ids=["latin-1", "huge-field"])
+    def test_bytes_the_reader_refuses_name_the_file(self, tmp_path, data, message):
+        path = tmp_path / "e.csv"
+        path.write_bytes(data)
+        with pytest.raises(rc.ParseError, match=f"^{re.escape(f'{path}: ')}.*{message}"):
             rc.load_emissions(path)
 
     def test_short_row_names_cell_count(self, tmp_path):
@@ -344,15 +367,15 @@ class TestEmissions:
     def test_negative_row_with_nan_is_rejected(self, tmp_path, cells):
         path = tmp_path / "e.csv"
         write_emissions(path, [f"2000,Austria,{cells},316.0", "2000,Belgium,7,1,1,1,316.0"])
-        table, totals = rc.load_emissions(path)
-        assert [line for line, _ in table.rejected] == [2]
+        rejected, totals = rc.load_emissions(path)
+        assert [line for line, _ in rejected] == [2]
         np.testing.assert_array_equal(totals.values, [[7.0, 1.0, 1.0, 1.0]])
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text(EMISSIONS_HEADER + "\n")
-        table, totals = rc.load_emissions(path)
-        assert table.rows == () and totals.years == () and totals.co2_ppmv == ()
+        rejected, totals = rc.load_emissions(path)
+        assert rejected == () and totals.years == () and totals.co2_ppmv == ()
         assert totals.values.shape == (0, 4)
 
     def test_excluded_year_cells_still_parsed(self, tmp_path):
@@ -362,8 +385,9 @@ class TestEmissions:
             rc.load_emissions(path, exclude_years=[1964])
         # a number that is not finite is checked only on rows that are kept
         write_emissions(path, ["1964,Austria,1,nan,1,1,inf", "1965,Austria,3,3,3,3,320.0"])
-        table, totals = rc.load_emissions(path, exclude_years=[1964])
-        assert totals.years == (1965,) and len(table.rows) == 1
+        rejected, totals = rc.load_emissions(path, exclude_years=[1964])
+        assert rejected == () and totals.years == (1965,)
+        np.testing.assert_array_equal(totals.values, [[3.0] * 4])
 
     @pytest.mark.parametrize("cells, column", [
         ("inf,1,1,1,316.0", "liquid"), ("1,nan,1,1,316.0", "gas"),
@@ -682,6 +706,18 @@ class TestCli:
         assert capsys.readouterr().out == (
             "fit over 29 years; " + result.to_text() + "model written to fit.json\n")
 
+    def test_fit_summary_counts_dropped_years_and_rejected_rows(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # neither the year without co2_ppmv nor the negative row enters the fit,
+        # so the SSE is the golden's
+        write_emissions(tmp_path / "emissions.csv",
+                        noisy_emissions_rows() + ["1990,A,1,2,3,4,", "1975,C,-1,1,1,1,"])
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "emissions.csv", "--terms", "Li,Ga,Fl,Li:Li,Ga:Bu,Bu:Bu,Li:Fl",
+                     "--exponent", "-2.376", "--exclude-years", "1964", "-o", "fit.json"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "fit over 29 years (1 without co2_ppmv dropped); 1 rows rejected; SSE = 4.01073e-16")
+
     @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf", "5e-324"])
     def test_fit_exponent_without_finite_reciprocal(self, tmp_path, capsys, exponent):
         write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
@@ -797,6 +833,15 @@ class TestInputChecks:
         extra = ["--pair", "1,3"] if command == "regions" else ["--format", "json"]
         assert main([command, model_path, *extra, "--center", center]) == 2
         assert "center entries must be finite" in one_error_line(capsys, "DimensionMismatch")
+
+    @pytest.mark.parametrize("data, message", UNREADABLE_CSV, ids=["latin-1", "huge-field"])
+    def test_fit_unreadable_csv(self, tmp_path, capsys, data, message):
+        (tmp_path / "emissions.csv").write_bytes(data)
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", "Li",
+                     "--exponent", "1.0", "-o", str(out)]) == 2
+        assert re.search(message, one_error_line(capsys, "ParseError"))
+        assert not out.exists()
 
     def test_fit_malformed_excluded_year(self, tmp_path, capsys):
         write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())

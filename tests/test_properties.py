@@ -33,6 +33,10 @@ pairing and no region kind of an analysis. Scaling A, or b0, beta, B
 and M, by a power of four 4^j, from near the smallest normal float to
 near the largest, scales the eigenvalues, Y0 and the bounds exactly
 and moves no other bit of the eigensolver or of an analysis.
+Emissions ingestion sums the kept rows of a shuffled per-country CSV,
+with blank rows, blank co2 cells, negative rows and excluded years, bit
+for bit as a plain-Python running sum in file order does, and rejects
+the same lines.
 """
 
 import hashlib
@@ -802,3 +806,64 @@ def test_accepted_report_json_has_only_finite_numbers(case, data):
     except rc.InputError:
         return
     json.loads(report.to_json(), parse_constant=reject_constant)
+
+
+@st.composite
+def emissions_csv(draw):
+    """Data lines of a per-country emissions CSV and a year exclusion list.
+    Cells span six decades; a row may carry one negative cell or a blank
+    co2_ppmv cell, and blank rows fall anywhere in the shuffled order."""
+    years = draw(st.lists(st.integers(1950, 2010), min_size=1, max_size=6, unique=True))
+    lines = []
+    for year in years:
+        co2 = draw(st.floats(250.0, 450.0))
+        for country in draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4,
+                                     unique=True)):
+            values = draw(st.lists(st.floats(1e-2, 1e4), min_size=4, max_size=4))
+            negative = draw(st.none() | st.integers(0, 3))
+            if negative is not None:
+                values[negative] = -values[negative]
+            co2_cell = repr(co2) if draw(st.booleans()) else ""
+            lines.append(f"{year},{country},{','.join(map(repr, values))},{co2_cell}")
+    lines = draw(st.permutations(lines))
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, draw(st.sampled_from(["", ",,,,,,"])))
+    return lines, draw(st.lists(st.sampled_from(years), max_size=2, unique=True))
+
+
+def emissions_oracle(lines, exclude):
+    """Per-year running sums of the kept rows in file order, the co2_ppmv
+    of each year, and the line numbers of the negative rows."""
+    sums, co2, rejected = {}, {}, []
+    for line_no, line in enumerate(lines, start=2):
+        if not line.strip(","):
+            continue
+        year, _, *cells = line.split(",")
+        values = [float(cell) for cell in cells[:4]]
+        if int(year) in exclude:
+            continue
+        if min(values) < 0.0:
+            rejected.append(line_no)
+            continue
+        total = sums.setdefault(int(year), [0.0] * 4)
+        for k, value in enumerate(values):
+            total[k] += value
+        if cells[4]:
+            co2[int(year)] = float(cells[4])
+    years = sorted(sums)
+    return (tuple(years), np.reshape([sums[y] for y in years], (-1, 4)),
+            tuple(co2.get(y) for y in years), rejected)
+
+
+@given(emissions_csv())
+def test_ingestion_sums_kept_rows_as_a_running_total(tmp_path_factory, case):
+    lines, exclude = case
+    path = tmp_path_factory.mktemp("emissions") / "e.csv"
+    path.write_text("year,country,liquid,gas,gas_flares,bunker,co2_ppmv\n"
+                    + "\n".join(lines) + "\n")
+    rejected, totals = rc.load_emissions(path, exclude_years=exclude)
+    years, values, co2, rejected_lines = emissions_oracle(lines, exclude)
+    assert totals.years == years and totals.co2_ppmv == co2
+    assert totals.values.shape == values.shape
+    assert totals.values.tobytes() == values.tobytes()
+    assert [line for line, _ in rejected] == rejected_lines
