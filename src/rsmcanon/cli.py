@@ -30,6 +30,7 @@ from .modelio import (
     load_emissions,
     load_model,
     save_model,
+    strict_number,
 )
 from .regions import DEFAULT_BOUND, DEFAULT_T_MAX, region
 from .report import run_analysis
@@ -113,7 +114,7 @@ def _cmd_tradeoff(args) -> int:
 
 def _cmd_fit(args) -> int:
     try:
-        exclude = [int(y) for y in args.exclude_years.split(",") if y]
+        exclude = [strict_number(int, y) for y in args.exclude_years.split(",") if y]
     except ValueError as exc:  # its message quotes the entry
         raise InputError(f"--exclude-years: {exc}") from None
     rejected, totals = load_emissions(args.data, exclude_years=exclude)

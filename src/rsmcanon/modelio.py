@@ -28,6 +28,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -144,7 +145,10 @@ def load_model(path) -> QuadraticModel:
 
 
 def save_model(model: QuadraticModel, path, metadata: dict | None = None) -> None:
-    """Write a model back out in the same schema load_model reads."""
+    """Write a model back out in the same schema load_model reads.
+
+    The file holds ``json.dumps(doc, indent=2, sort_keys=True)`` and a
+    newline, byte for byte, rendered by ``json_text``."""
     doc: dict = {
         "variables": list(model.names),
         "response_label": model.response_label,
@@ -159,7 +163,36 @@ def save_model(model: QuadraticModel, path, metadata: dict | None = None) -> Non
         if not key.startswith("reference_"):
             raise SchemaError(f"metadata keys must start with 'reference_', got {key!r}")
         doc[key] = value
-    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json_text(doc) + "\n")
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, without the
+    pure-Python encoder json runs when given an indent. Input this does not model
+    (a key that is not a str, a type json rejects, a cycle) goes whole to
+    ``json.dumps``, so its bytes and exceptions are json's own."""
+    try:
+        return _json_node(obj, "\n")
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _json_node(obj, pad: str) -> str:
+    if type(obj) is float and math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):  # most values are finite floats: render them inline
+        ends, items = "{}", [encode_basestring_ascii(k) + ": " + (
+            repr(v) if type(v) is float and math.isfinite(v) else _json_node(v, inner))
+            for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):  # a list of finite floats in one join
+        floats = all(type(v) is float for v in obj) and all(map(math.isfinite, obj))
+        ends, items = "[]", list(map(repr, obj)) if floats else [_json_node(v, inner) for v in obj]
+    else:  # int, bool, None, NaN, ±inf, a float subclass, or what json rejects
+        return json.dumps(obj)
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
 
 def bundled_eu_model_path():
@@ -186,6 +219,14 @@ class YearlyTotals:
     co2_ppmv: tuple[float | None, ...]
 
 
+def strict_number(parse, text: str):
+    """``parse(text)`` for ``int`` or ``float``, without the digit-group
+    underscores both accept: ValueError for "1_0" rather than 10."""
+    if "_" in text:
+        raise ValueError(f"invalid literal for {parse.__name__}(): {text!r}")
+    return parse(text)
+
+
 def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...], YearlyTotals]:
     """Ingest an emissions CSV; return ``(rejected, totals)``.
 
@@ -194,19 +235,23 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
     quantity, which is left out rather than aborting the load. Rows of
     excluded years are parsed, so a malformed cell still raises, and
     dropped before the duplicate, sign and finiteness checks. ParseError
-    names a duplicate (year, country), a malformed or non-finite cell, an
+    names a duplicate (year, country), a malformed or non-finite cell (a
+    digit-group underscore, as in ``1_000``, is malformed), an
     overflowing year total, conflicting co2_ppmv within a year, bytes
     that do not decode or CSV the reader refuses; co2_ppmv may be blank.
+    A line number is the file line a record starts on, which a quoted
+    cell holding a line break can put past the record's index.
     """
     exclude = {int(y) for y in exclude_years}
     try:
         with open(path, newline="") as handle:
-            records = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            records = [(reader.line_num, cells) for cells in reader]  # (last line, cells)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not records:
         raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in records[0]]
+    header = [h.strip() for h in records[0][1]]
     expected = ["year", "country", *EMISSIONS_FIELDS]
     has_co2 = header == expected + ["co2_ppmv"]
     if not has_co2 and header != expected:
@@ -216,23 +261,29 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
     kept_years: list[int] = []
     kept_values: list[tuple[float, float, float, float]] = []
     co2_pairs: list[tuple[int, float]] = []  # (year, co2_ppmv) of kept rows with a co2 cell
-    for line_no, record in enumerate(records[1:], start=2):
-        if not "".join(record).strip():  # every cell blank
+    # a record starts on the file line after the one the record before it ends on
+    for (previous_end, _), (_, record) in zip(records, records[1:]):
+        line_no = previous_end + 1
+        text = "".join(record)
+        if not text.strip():  # every cell blank
             continue
         if len(record) != len(header):
             raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells")
         try:
-            year = int(record[0])
+            year = strict_number(int, record[0])
         except ValueError:
             raise ParseError(f"{path}: line {line_no}, column 'year': {record[0]!r}") from None
         country = record[1].strip()
         try:
-            values = (float(record[2]), float(record[3]), float(record[4]), float(record[5]))
+            if "_" in text and "_" in "".join(record[2:]):  # the join only if a cell has one
+                raise ValueError
+            values = li, ga, fl, bu = (float(record[2]), float(record[3]),
+                                       float(record[4]), float(record[5]))
             co2 = float(record[6]) if has_co2 and record[6].strip() else None
         except ValueError:  # name the first cell that failed
             for field, cell in zip((*EMISSIONS_FIELDS, "co2_ppmv"), record[2:]):
                 try:
-                    float(cell)
+                    strict_number(float, cell)
                 except ValueError:
                     raise ParseError(f"{path}: line {line_no}, column {field!r}: {cell!r}") from None
         if year in exclude:
@@ -241,7 +292,7 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
             raise ParseError(f"{path}: line {line_no}: duplicate (year, country) "
                              f"({year}, {country!r})")
         seen.add((year, country))
-        if any(v < 0.0 for v in values):
+        if li < 0.0 or ga < 0.0 or fl < 0.0 or bu < 0.0:
             rejected.append((line_no, f"negative emission for {country!r} in {year}"))
             continue
         if not math.isfinite(sum(values, co2 or 0.0)):  # a cell, or the sum overflowed

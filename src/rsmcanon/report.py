@@ -6,11 +6,13 @@ Reports serialize deterministically: identical inputs give
 byte-identical JSON (keys sorted, floats rendered by Python's
 shortest-round-trip repr) and byte-identical text, which is all the CLI
 prints about an analysis: the whole ``to_text`` or its ``tradeoff_lines``.
+``to_json`` renders through ``modelio.json_text``, the writer model files
+use too; its bytes are those of ``json.dumps(report.to_dict(), indent=2,
+sort_keys=True)`` followed by a newline, for every report.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 from . import __version__
@@ -18,6 +20,7 @@ from .canonical import ZERO_TOL_FACTOR, CanonicalModel, canonicalize, with_cente
 from .errors import RsmError
 from .linalg import DEFAULT_COND_TOL
 from .model import QuadraticModel
+from .modelio import json_text
 from .regions import CONTAINS_SLACK, DEFAULT_BOUND, check_bound, max_intervals, region
 from .tradeoff import RATE_FORMAT, conversion_rates, default_pairing, iso_slopes, marginal_rates
 
@@ -37,7 +40,7 @@ class AnalysisReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict()) + "\n"
 
     def to_text(self) -> str:
         """Fixed-format human-readable rendering of the report."""

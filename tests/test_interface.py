@@ -88,6 +88,8 @@ class TestModelFiles:
         assert np.array_equal(again.linear, eu_model.linear)
         assert np.array_equal(again.interaction.array, eu_model.interaction.array)
         assert rc.load_model_document(path)["reference_f_values"] == {"Ga": 197.22}
+        text = path.read_text()  # the bytes json.dumps gives for the document
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
         with pytest.raises(rc.SchemaError, match="metadata keys must start with 'reference_'"):
             rc.save_model(eu_model, path, metadata={"note": "x"})
 
@@ -345,6 +347,35 @@ class TestEmissions:
         with pytest.raises(rc.ParseError, match=f"^{re.escape(f'{path}: ')}.*{message}"):
             rc.load_emissions(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("2_000,A,1,1,1,1,316", "line 2, column 'year': '2_000'"),
+        ("2000,A,1_0,1,1,1,316", "line 2, column 'liquid': '1_0'"),
+        ("2000,A,1,1,1,1,3_16", "line 2, column 'co2_ppmv': '3_16'"),
+        # the first cell that fails is named, the underscore rule as any other
+        ("2000,A,1,x,1,1e1_0,316", "line 2, column 'gas': 'x'"),
+        ("2000,A,1,1_0,1,y,316", "line 2, column 'gas': '1_0'"),
+    ])
+    def test_digit_group_underscore_is_malformed(self, tmp_path, row, message):
+        # int() and float() read "1_0" as 10
+        path = tmp_path / "e.csv"
+        write_emissions(path, [row])
+        with pytest.raises(rc.ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            rc.load_emissions(path)
+        write_emissions(path, ["2000,North_Land,1,2,3,4,316"])  # a country may hold one
+        assert rc.load_emissions(path)[1].values.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+
+    def test_line_numbers_are_file_lines(self, tmp_path):
+        path = tmp_path / "e.csv"
+        rows = ['2000,"North\nLand",1,1,1,1,316', "2000,B,-1,1,1,1,316",
+                '2001,"C\r\n\nD",2,2,2,2,317', "2001,E,-2,2,2,2,317"]
+        write_emissions(path, rows)
+        rejected, totals = rc.load_emissions(path)
+        assert [line for line, _ in rejected] == [4, 8]
+        assert totals.years == (2000, 2001)
+        write_emissions(path, rows + ["2002,F,x,1,1,1,318"])
+        with pytest.raises(rc.ParseError, match=re.escape("line 9, column 'liquid': 'x'")):
+            rc.load_emissions(path)
+
     def test_short_row_names_cell_count(self, tmp_path):
         path = tmp_path / "e.csv"
         write_emissions(path, ["2000,Austria,1,2,3,4,316.0", "2001,Austria,1,2"])
@@ -447,6 +478,11 @@ class TestReport:
         second = rc.run_analysis(eu_model, center=EU_WORKED_CENTER)
         assert first.to_json() == second.to_json()
         assert first.to_text() == second.to_text()
+
+    @pytest.mark.parametrize("center", [None, EU_WORKED_CENTER])
+    def test_json_is_json_dumps_bytes(self, eu_model, center):
+        report = rc.run_analysis(eu_model, center=center)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def test_numeric_fields_round_trip(self, eu_model):
         report = rc.run_analysis(eu_model)
@@ -843,12 +879,13 @@ class TestInputChecks:
         assert re.search(message, one_error_line(capsys, "ParseError"))
         assert not out.exists()
 
-    def test_fit_malformed_excluded_year(self, tmp_path, capsys):
+    @pytest.mark.parametrize("year", ["19x4", "1_964"])  # int() reads "1_964" as 1964
+    def test_fit_malformed_excluded_year(self, tmp_path, capsys, year):
         write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
         out = tmp_path / "fit.json"
         assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", "Li,Ga",
-                     "--exponent", "1.0", "--exclude-years", "1964,19x4", "-o", str(out)]) == 2
-        assert "'19x4'" in one_error_line(capsys, "InputError")
+                     "--exponent", "1.0", "--exclude-years", f"1964,{year}", "-o", str(out)]) == 2
+        assert f"'{year}'" in one_error_line(capsys, "InputError")
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [

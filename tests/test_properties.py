@@ -36,7 +36,10 @@ and moves no other bit of the eigensolver or of an analysis.
 Emissions ingestion sums the kept rows of a shuffled per-country CSV,
 with blank rows, blank co2 cells, negative rows and excluded years, bit
 for bit as a plain-Python running sum in file order does, and rejects
-the same lines.
+the same lines. The indented JSON writer gives the bytes of
+``json.dumps(tree, indent=2, sort_keys=True)`` on generated JSON trees,
+or raises the exception type it raises, and the report and model file of
+a graded model are those bytes.
 """
 
 import hashlib
@@ -57,6 +60,7 @@ import rsmcanon as rc
 import rsmcanon.fitting as fitting
 import rsmcanon.linalg as linalg
 import rsmcanon.tradeoff as tradeoff
+from rsmcanon.modelio import json_text
 
 LAMBDA_SCALE = 1e-16
 unit = st.floats(-1.0, 1.0)
@@ -867,3 +871,64 @@ def test_ingestion_sums_kept_rows_as_a_running_total(tmp_path_factory, case):
     assert totals.values.shape == values.shape
     assert totals.values.tobytes() == values.tobytes()
     assert [line for line, _ in rejected] == rejected_lines
+
+
+# JSON trees for the indented writer: every leaf kind json.dumps renders
+# (signed zeros, subnormals, NaN, infinities, a float subclass, ints past
+# 2**53, escapes and non-ASCII), lists long enough to take the one-join
+# path for finite floats, and what json.dumps refuses or reads differently:
+# non-str keys, objects it cannot encode, an int past its digit limit
+json_floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, math.inf, -math.inf,
+                                             math.nan]) | st.floats().map(np.float64)
+json_strings = st.text() | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'))
+json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 70, 2 ** 70)
+               | json_floats | json_strings)
+json_trees = st.recursive(
+    json_leaves | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+    lambda children: (st.lists(children, max_size=6) | st.tuples(children, children)
+                      | st.dictionaries(json_strings, children, max_size=6)),
+    max_leaves=40)
+unencodable = (st.sampled_from([object(), frozenset({1}), b"x", np.int64(3)])
+               | st.integers(4300, 4400).map(lambda digits: 10 ** digits))
+odd_keys = st.integers() | st.floats() | st.booleans() | st.none() | unencodable.filter(
+    lambda k: k.__hash__ is not None)
+awkward_trees = st.recursive(
+    json_leaves | unencodable,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        json_strings | odd_keys, children, max_size=4),
+    max_leaves=12)
+
+
+@given(json_trees | awkward_trees)
+@example([0.0, -0.0, 5e-324, -2.2e-308, math.nan, math.inf, -math.inf, 1.5, np.float64(-0.0),
+          2 ** 53 + 1, -(2 ** 64), True, False, None, "\xe9\u2028\x00\"\\/\U0001f600"])
+@example({"b": [1.0, -0.0, 5e-324], "a": {"": [], "c": {}}, "\xe9": (1, [2.5, math.nan])})
+@example({"b": {1: 2.0, 3: None}, "a": [{"c": np.float64(1e-310)}]})
+@example({"b": [1.0, object()], "a": 1.0})
+@example({1: "a", "b": 2})
+def test_json_text_is_json_dumps_byte_for_byte(tree):
+    try:
+        want = json.dumps(tree, indent=2, sort_keys=True)
+    except Exception as exc:  # the writer raises what json.dumps raises
+        with pytest.raises(type(exc)):
+            json_text(tree)
+    else:
+        assert json_text(tree) == want
+
+
+def test_json_text_refuses_a_cycle_as_json_dumps_does():
+    tree = {"a": [1.0]}
+    tree["a"].append(tree)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        json_text(tree)
+
+
+@given(graded_model())
+def test_report_and_model_file_are_json_dumps_bytes(tmp_path_factory, case):
+    model, bound = case
+    report = rc.run_analysis(model, bound=bound)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    rc.save_model(model, path, metadata={"reference_f_values": {"x1": 19.07, "x1:x2": 5e-324}})
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
