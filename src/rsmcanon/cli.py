@@ -6,13 +6,15 @@ boundary-sample CSV), ``tradeoff`` (model -> exchange rates), ``fit``
 response). Exit status: 0 on success, 2 for input errors, 3 for
 numerical failures, numpy overflow and invalid operations included.
 
-Commands parse their arguments, call the library and write the text it
-renders; they format no numbers themselves (``predict`` writes a repr).
+argparse converts every argument, each number by ``modelio.strict_number``;
+commands call the library and write the text it renders, formatting no
+numbers themselves (``predict`` writes a repr).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -41,37 +43,40 @@ def _parse_pair(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise InputError(f"expected a pair like '1,3', got {text!r}")
     try:
-        return (int(parts[0]), int(parts[1]))
+        return (strict_number(int, parts[0]), strict_number(int, parts[1]))
     except ValueError:
         raise InputError(f"pair {text!r} must contain integers") from None
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    return [_parse_pair(chunk) for chunk in text.split(";") if chunk]
+def _parse_pairs(text: str) -> list[tuple[int, int]] | None:  # "" keeps the default
+    return [_parse_pair(chunk) for chunk in text.split(";") if chunk] if text else None
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str) -> np.ndarray | None:  # "" keeps the default
     try:
-        return np.array([float(v) for v in text.split(",")])
+        return np.array([strict_number(float, v) for v in text.split(",")]) if text else None
     except ValueError:
         raise InputError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _parse_terms(text: str, names) -> list[tuple[int, ...]]:
-    index = {name: k for k, name in enumerate(names)}
+def _parse_terms(text: str) -> list[tuple[int, ...]]:
+    index = {name: k for k, name in enumerate(EMISSIONS_NAMES)}
     terms = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(","))):
         try:
-            idx = tuple(index[part] for part in chunk.split(":"))
+            terms.append(tuple(index[part] for part in chunk.split(":")))
         except KeyError as exc:
             raise InputError(f"unknown variable {exc.args[0]!r} in term {chunk!r}") from None
-        terms.append(idx)
     if not terms:
         raise InputError("no terms given")
     return terms
+
+
+def _parse_years(text: str) -> list[int]:
+    try:
+        return [strict_number(int, y) for y in text.split(",") if y]
+    except ValueError as exc:  # its message quotes the entry
+        raise InputError(f"--exclude-years: {exc}") from None
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -83,41 +88,31 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     model = load_model(args.model)
-    pairs = _parse_pairs(args.pairs) if args.pairs else None
-    pairing = _parse_pairs(args.pairing) if args.pairing else None
-    center = _parse_vector(args.center) if args.center else None
-    report = run_analysis(model, pairs=pairs, bound=args.bound_M, pairing=pairing,
-                          center=center, source_digest=file_digest(args.model))
+    report = run_analysis(model, pairs=args.pairs, bound=args.bound_M, pairing=args.pairing,
+                          center=args.center, source_digest=file_digest(args.model))
     _write_or_print(report.to_json() if args.format == "json" else report.to_text(),
                     args.output)
     return 0
 
 
 def _cmd_regions(args) -> int:
-    model = load_model(args.model)
-    canon = canonicalize(model)
-    if args.center:
-        canon = with_center(canon, _parse_vector(args.center))
-    i, j = _parse_pair(args.pair)
-    text = emit_plot_csv(region(canon, i, j, args.bound_M), args.samples, args.t_max)
+    canon = canonicalize(load_model(args.model))
+    if args.center is not None:
+        canon = with_center(canon, args.center)
+    text = emit_plot_csv(region(canon, *args.pair, args.bound_M), args.samples, args.t_max)
     _write_or_print(text, args.output)
     return 0
 
 
 def _cmd_tradeoff(args) -> int:
     model = load_model(args.model)
-    pairing = _parse_pairs(args.pairing) if args.pairing else None
-    lines = run_analysis(model, pairs=[], pairing=pairing).tradeoff_lines(with_bound=True)
+    lines = run_analysis(model, pairs=[], pairing=args.pairing).tradeoff_lines(with_bound=True)
     _write_or_print("".join(f"{line}\n" for line in lines), args.output)
     return 0
 
 
 def _cmd_fit(args) -> int:
-    try:
-        exclude = [strict_number(int, y) for y in args.exclude_years.split(",") if y]
-    except ValueError as exc:  # its message quotes the entry
-        raise InputError(f"--exclude-years: {exc}") from None
-    rejected, totals = load_emissions(args.data, exclude_years=exclude)
+    rejected, totals = load_emissions(args.data, exclude_years=args.exclude_years)
     kept = [k for k, co2 in enumerate(totals.co2_ppmv) if co2 is not None]
     if not kept:
         raise InputError(f"{args.data}: no rows carry a co2_ppmv response")
@@ -126,8 +121,7 @@ def _cmd_fit(args) -> int:
         y=np.array([totals.co2_ppmv[k] for k in kept]),
         names=EMISSIONS_NAMES,
     )
-    terms = _parse_terms(args.terms, EMISSIONS_NAMES)
-    result = ols_fit(dataset, terms, args.exponent, response_label="CO2 ppmv")
+    result = ols_fit(dataset, args.terms, args.exponent, response_label="CO2 ppmv")
     save_model(result.model, args.output)
     dropped = len(totals.years) - len(kept)
     sys.stdout.write(f"fit over {len(kept)} years"
@@ -138,9 +132,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = load_model(args.model)
-    point = _parse_vector(args.at)
-    value = predict_response(model, point)
+    value = predict_response(load_model(args.model), args.at)
     sys.stdout.write(f"{value!r}\n")
     return 0
 
@@ -155,55 +147,61 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run the full canonical analysis")
     analyze.add_argument("model", help="model JSON file")
-    analyze.add_argument("--pairs", help="region pairs, e.g. '1,3;2,4' (default: same-sign pairs)")
+    analyze.add_argument("--pairs", type=_parse_pairs,
+                         help="region pairs, e.g. '1,3;2,4' (default: same-sign pairs)")
     analyze.add_argument("--bound-M", type=float, default=DEFAULT_BOUND, dest="bound_M",
                          help="response fluctuation bound M (default %(default)g)")
-    analyze.add_argument("--pairing", help="trade pairs, e.g. '1,4;2,3' (default: auto)")
-    analyze.add_argument("--center", help="override region center, e.g. '534271,286155,8294.32,82045.4'")
+    analyze.add_argument("--pairing", type=_parse_pairs,
+                         help="trade pairs, e.g. '1,4;2,3' (default: auto)")
+    analyze.add_argument("--center", type=_parse_vector,
+                         help="override region center, e.g. '534271,286155,8294.32,82045.4'")
     analyze.add_argument("--format", choices=("json", "text"), default="text")
     analyze.add_argument("-o", "--output", help="write to file instead of stdout")
     analyze.set_defaults(func=_cmd_analyze)
 
     regions = sub.add_parser("regions", help="emit boundary samples for one region as CSV")
     regions.add_argument("model")
-    regions.add_argument("--pair", required=True, help="canonical pair, e.g. '1,3'")
+    regions.add_argument("--pair", type=_parse_pair, required=True, help="canonical pair, e.g. '1,3'")
     regions.add_argument("--bound-M", type=float, default=DEFAULT_BOUND, dest="bound_M")
     regions.add_argument("--samples", type=int, default=360)
     regions.add_argument("--t-max", type=float, default=DEFAULT_T_MAX, dest="t_max",
                          help="hyperbola parameter range (default %(default)g)")
-    regions.add_argument("--center", help="override region center")
+    regions.add_argument("--center", type=_parse_vector, help="override region center")
     regions.add_argument("-o", "--output", help="CSV path (default stdout)")
     regions.set_defaults(func=_cmd_regions)
 
     tradeoff = sub.add_parser("tradeoff", help="iso-response slopes and conversion rates")
     tradeoff.add_argument("model")
-    tradeoff.add_argument("--pairing", help="pairs, e.g. '1,4;2,3' (default: auto)")
+    tradeoff.add_argument("--pairing", type=_parse_pairs, help="pairs, e.g. '1,4;2,3' (default: auto)")
     tradeoff.add_argument("-o", "--output")
     tradeoff.set_defaults(func=_cmd_tradeoff)
 
     fit = sub.add_parser("fit", help="fit a model to an emissions CSV")
     fit.add_argument("data", help="emissions CSV (year,country,liquid,gas,gas_flares,bunker[,co2_ppmv])")
-    fit.add_argument("--terms", required=True,
+    fit.add_argument("--terms", type=_parse_terms, required=True,
                      help="comma-separated terms, e.g. 'Li,Ga,Fl,Li:Li,Ga:Bu,Bu:Bu,Li:Fl'")
     fit.add_argument("--exponent", type=float, required=True,
                      help="response transform power, e.g. -2.376")
-    fit.add_argument("--exclude-years", dest="exclude_years", default="",
+    fit.add_argument("--exclude-years", type=_parse_years, dest="exclude_years", default="",
                      help="comma-separated years to drop, e.g. '1964'")
     fit.add_argument("-o", "--output", required=True, help="model JSON to write")
     fit.set_defaults(func=_cmd_fit)
 
     predict = sub.add_parser("predict", help="natural-units response at a point")
     predict.add_argument("model")
-    predict.add_argument("--at", required=True, help="point, e.g. '534271,286155,8294.32,82045.4'")
+    predict.add_argument("--at", type=_parse_vector, required=True,
+                         help="point, e.g. '534271,286155,8294.32,82045.4'")
     predict.set_defaults(func=_cmd_predict)
 
+    for command in sub.choices.values():  # argparse's own int and float, under the same rule
+        for kind in (int, float):
+            command.register("type", kind, functools.partial(strict_number, kind))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except FloatingPointError as exc:  # numpy arithmetic that no library check caught

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import stat
 import sys
@@ -242,7 +243,7 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
     A line number is the file line a record starts on, which a quoted
     cell holding a line break can put past the record's index.
     """
-    exclude = {int(y) for y in exclude_years}
+    exclude = {operator.index(y) for y in exclude_years}  # TypeError for 1964.9 or "1964"
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)

@@ -283,6 +283,16 @@ class TestEmissions:
         np.testing.assert_array_equal(totals.values, [[1.0] * 4, [3.0] * 4])
         assert totals.co2_ppmv == (318.0, 320.0)
 
+    def test_year_exclusion_takes_integers_only(self, tmp_path):
+        # int() would truncate 1964.9 and read "1_964", excluding 1964
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["1964,Austria,2,2,2,2,319.0", "1965,Austria,3,3,3,3,320.0"])
+        for year in (1964.9, "1_964", "1964", None):
+            with pytest.raises(TypeError):
+                rc.load_emissions(path, exclude_years=[year])
+        _, totals = rc.load_emissions(path, exclude_years=[np.int64(1964)])
+        assert totals.years == (1965,)
+
     def test_malformed_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "e.csv"
         write_emissions(path, ["2000,Austria,10,oops,0.5,2,316.0"])
@@ -902,18 +912,69 @@ class TestInputChecks:
         (["fit", "{co2}", "--terms", "Li,Li:Xx"], "unknown variable 'Xx' in term 'Li:Xx'"),
         (["fit", "{co2}", "--terms", " , "], "no terms given"),
         (["fit", "{bare}", "--terms", "Li"], "no rows carry a co2_ppmv response"),
+        # a digit-group underscore, which int() and float() accept; each value is in range
+        (["predict", "{model}", "--at", "534_271,286155,8294.32,82045.4"],
+         "expected comma-separated numbers"),
+        (["analyze", "{model}", "--center", "534_271,286155,8294.32,82045.4"],
+         "expected comma-separated numbers"),
+        (["regions", "{model}", "--pair", "1,3", "--center", "534_271,286155,8294.32,82045.4"],
+         "expected comma-separated numbers"),
+        (["regions", "{model}", "--pair", "0_1,3"], "pair '0_1,3' must contain integers"),
+        (["analyze", "{model}", "--pairs", "1,3;2,0_4"], "pair '2,0_4' must contain integers"),
+        (["analyze", "{model}", "--pairing", "1,4;2,0_3"], "pair '2,0_3' must contain integers"),
+        (["tradeoff", "{model}", "--pairing", "1,4;2,0_3"], "pair '2,0_3' must contain integers"),
     ])
     def test_malformed_arguments(self, model_path, tmp_path, capsys, args, message):
         write_emissions(tmp_path / "co2.csv", noisy_emissions_rows())
         write_emissions(tmp_path / "bare.csv", ["2000,Austria,1,2,3,4"],
                         header=EMISSIONS_HEADER.removesuffix(",co2_ppmv"))
-        out = tmp_path / "fit.json"
+        out = tmp_path / "out"
         paths = {"model": model_path, "co2": tmp_path / "co2.csv", "bare": tmp_path / "bare.csv"}
         if args[0] == "fit":
-            args = args + ["--exponent", "1.0", "-o", str(out)]
+            args = args + ["--exponent", "1.0"]
+        if args[0] != "predict":
+            args = args + ["-o", str(out)]
         assert main([arg.format(**paths) for arg in args]) == 2
         assert message in one_error_line(capsys, "InputError")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["regions", "{model}", "--pair", "1,3", "--samples", "1_0"],
+         "argument --samples: invalid int value: '1_0'"),
+        (["analyze", "{model}", "--bound-M", "1_0e-9"],
+         "argument --bound-M: invalid float value: '1_0e-9'"),
+        (["regions", "{model}", "--pair", "1,3", "--bound-M", "1_0e-9"],
+         "argument --bound-M: invalid float value: '1_0e-9'"),
+        (["regions", "{model}", "--pair", "1,3", "--t-max", "1_0"],
+         "argument --t-max: invalid float value: '1_0'"),
+        (["fit", "{co2}", "--terms", "Li,Ga", "--exponent", "1_0"],
+         "argument --exponent: invalid float value: '1_0'"),
+    ])
+    def test_numeric_options_refuse_digit_group_underscores(self, model_path, tmp_path, capsys,
+                                                            args, message):
+        # argparse reports these itself, as it does "--samples x"
+        write_emissions(tmp_path / "co2.csv", noisy_emissions_rows())
+        out = tmp_path / "out"
+        paths = {"model": model_path, "co2": tmp_path / "co2.csv"}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in args] + ["-o", str(out)])
+        assert exc.value.code == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and message in err
+        assert not out.exists()
+
+    def test_empty_values_keep_the_defaults(self, model_path, capsys):
+        assert main(["analyze", model_path]) == 0
+        plain = capsys.readouterr().out
+        assert main(["analyze", model_path, "--pairs=", "--pairing=", "--center="]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["tradeoff", model_path]) == 0
+        plain = capsys.readouterr().out
+        assert main(["tradeoff", model_path, "--pairing="]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["predict", model_path, "--at="]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("rsmcanon: ") and err.count("\n") == 1
 
     def test_predict_overflowing_inverse(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
