@@ -12,6 +12,8 @@ response surface.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .canonical import (
     MAXIMUM,
     MINIMUM,
@@ -95,34 +97,6 @@ from .tradeoff import (
     marginal_rates,
 )
 
-__all__ = [
-    "__version__",
-    # linalg
-    "SymMatrix", "EigenDecomposition", "jacobi_eigen", "solve", "DEFAULT_COND_TOL",
-    # model
-    "ModelTerm", "QuadraticModel", "build_model", "evaluate_matrix",
-    "evaluate_terms", "gradient", "predict_response",
-    # canonical
-    "CanonicalModel", "StationaryKind", "MAXIMUM", "MINIMUM", "SADDLE",
-    "canonicalize", "classify", "to_canonical", "from_canonical",
-    "canonical_response", "with_center", "degenerate_axes", "check_pair",
-    # regions
-    "RegionKind", "RegionParametrization", "region", "region_kind", "ellipse_region",
-    "hyperbola_region", "boundary_points", "contains", "max_intervals",
-    # tradeoff
-    "ConversionRate", "iso_slopes", "conversion_rates", "marginal_rates",
-    "default_pairing",
-    # fitting
-    "Dataset", "FitResult", "TermStat", "transform_response", "ols_fit", "f_rank",
-    # io / report
-    "load_model", "load_model_document", "save_model", "load_emissions",
-    "emit_plot_csv", "bundled_eu_model_path", "load_bundled_eu_model",
-    "YearlyTotals", "AnalysisReport", "run_analysis",
-    # errors
-    "RsmError", "InputError", "NumericalError", "DimensionMismatch",
-    "DuplicateTerm", "IndexOutOfRange", "DomainError", "WrongKind",
-    "NonPositiveBound", "SameSignPair", "NotTwoVariable",
-    "TooFewRows", "ParseError", "SchemaError",
-    "NonConvergence", "SingularMatrix", "DegeneratePair", "NoPositiveBranch",
-    "RankDeficient",
-]
+# Everything imported above is public, except the submodules themselves.
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if not name.startswith("_") and not isinstance(value, _ModuleType))]

@@ -72,9 +72,6 @@ class SymMatrix:
     def n(self) -> int:
         return self.array.shape[0]
 
-    def __matmul__(self, other):
-        return self.array @ other
-
 
 def check_point(point, n: int, what: str = "point") -> np.ndarray:
     """``point`` as a float array; DimensionMismatch naming ``what``

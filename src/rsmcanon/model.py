@@ -194,7 +194,7 @@ def evaluate_terms(model: QuadraticModel, point) -> float:
 def gradient(model: QuadraticModel, point) -> np.ndarray:
     """Gradient of the matrix picture: beta + 2 B X."""
     x = check_point(point, model.n)
-    return model.linear + 2.0 * (model.interaction @ x)
+    return model.linear + 2.0 * (model.interaction.array @ x)
 
 
 def predict_response(model: QuadraticModel, point) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import operator
@@ -100,6 +101,8 @@ def load_model_document(path) -> dict:
         raise SchemaError(f"{path}: 'variables' must be a non-empty list of names")
     if len(set(doc["variables"])) != len(doc["variables"]):
         raise SchemaError(f"{path}: duplicate variable names")
+    if not isinstance(doc.get("response_label", ""), str):
+        raise SchemaError(f"{path}: 'response_label' must be a string")
     _json_float(doc["exponent"], f"{path}: 'exponent'", finite=False)  # build_model names NaN, inf
     _json_float(doc["intercept"], f"{path}: 'intercept'")
     if not isinstance(doc["terms"], list):
@@ -231,7 +234,8 @@ def strict_number(parse, text: str):
 def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...], YearlyTotals]:
     """Ingest an emissions CSV; return ``(rejected, totals)``.
 
-    ``totals`` sums the kept rows per year in file order. ``rejected``
+    ``totals`` holds each year's running sums of its kept rows, which
+    start at 0.0 and add the rows in file order. ``rejected``
     holds a (line number, reason) pair for each row with a negative
     quantity, which is left out rather than aborting the load. Rows of
     excluded years are parsed, so a malformed cell still raises, and
@@ -259,9 +263,9 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
         raise ParseError(f"{path}: header {header} does not match {expected}[,co2_ppmv]")
     rejected: list[tuple[int, str]] = []
     seen: set[tuple[int, str]] = set()
-    kept_years: list[int] = []
-    kept_values: list[tuple[float, float, float, float]] = []
-    co2_pairs: list[tuple[int, float]] = []  # (year, co2_ppmv) of kept rows with a co2 cell
+    sums: dict[int, list[float]] = {}  # year -> running (Li, Ga, Fl, Bu) totals
+    co2_by_year: dict[int, float] = {}
+    co2_conflict = None  # the first year whose kept rows disagree on co2_ppmv
     # a record starts on the file line after the one the record before it ends on
     for (previous_end, _), (_, record) in zip(records, records[1:]):
         line_no = previous_end + 1
@@ -301,26 +305,21 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
                 if cell.strip() and not math.isfinite(float(cell)):
                     raise ParseError(f"{path}: line {line_no}, column {field!r}: "
                                      f"{cell!r} is not finite")
-        kept_years.append(year)
-        kept_values.append(values)
+        total = sums.setdefault(year, [0.0, 0.0, 0.0, 0.0])
+        for k, value in enumerate(values):
+            total[k] += value  # a float sum past the range is inf, named below
         if co2 is not None:
-            co2_pairs.append((year, co2))
+            if co2_conflict is None and co2_by_year.get(year, co2) != co2:
+                co2_conflict = year
+            co2_by_year[year] = co2
 
-    years = sorted(set(kept_years))
-    totals = np.zeros((len(years), len(EMISSIONS_FIELDS)))
-    pos = {y: k for k, y in enumerate(years)}
-    # unbuffered and in row order, so each year sums as a running total would
-    with np.errstate(over="ignore"):  # an overflowing total is named below
-        np.add.at(totals, [pos[y] for y in kept_years],
-                  np.reshape(kept_values, (-1, len(EMISSIONS_FIELDS))))
+    years = sorted(sums)
+    totals = np.array([sums[y] for y in years]).reshape(-1, len(EMISSIONS_FIELDS))
     if not np.isfinite(totals).all():
         k, c = np.argwhere(~np.isfinite(totals))[0]
         raise ParseError(f"{path}: year {years[k]}, column {EMISSIONS_FIELDS[c]!r}: sum overflows")
-    co2_by_year: dict[int, float] = {}
-    for year, co2 in co2_pairs:
-        if co2_by_year.get(year, co2) != co2:
-            raise ParseError(f"{path}: conflicting co2_ppmv for year {year}")
-        co2_by_year[year] = co2
+    if co2_conflict is not None:
+        raise ParseError(f"{path}: conflicting co2_ppmv for year {co2_conflict}")
     totals.setflags(write=False)
     return tuple(rejected), YearlyTotals(
         years=tuple(years),
@@ -332,7 +331,8 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
 def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFAULT_T_MAX) -> str:
     """Render the ``boundary_points`` samples of a region as CSV text.
 
-    Columns: ``param,r,z_<i>,z_<j>,<variable names...>``, one row per
+    Columns: ``param,r,z_<i>,z_<j>,<variable names...>``, the header
+    quoted as the ``csv`` module quotes by default, one row per
     sample: ``count`` rows tracing a closed ellipse (the last row equals
     the first up to rounding), or ``count`` rows per hyperbola branch
     (r = +1, then r = -1). ``boundary_points`` raises InputError for
@@ -345,7 +345,9 @@ def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFA
     """
     t, _, z, x = boundary_points(region, count, t_max)
     i, j = region.pair
-    lines = [",".join(["param", "r", f"z_{i}", f"z_{j}", *region.names])]
+    header = io.StringIO()  # a name may hold a comma, a quote or a line break
+    csv.writer(header).writerow(["param", "r", f"z_{i}", f"z_{j}", *region.names])
+    lines = [header.getvalue().removesuffix("\r\n")]
     xs = [",".join(map(repr, row)) for row in x.tolist()]
     ts, z1, z2 = (list(map(repr, col)) for col in (t[:count].tolist(), *z[:count].T.tolist()))
     lines += [f"{p},1.0,{a},{b},{row}" for p, a, b, row in zip(ts, z1, z2, xs)]

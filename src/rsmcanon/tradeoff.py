@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalModel
-from .errors import NoPositiveBranch, NotTwoVariable, SameSignPair, WrongKind
+from .errors import DegeneratePair, NoPositiveBranch, NotTwoVariable, SameSignPair, WrongKind
 from .regions import RegionParametrization, region_kind
 
 # Components at or below this factor of their vector's 2-norm count as
@@ -79,7 +79,7 @@ def default_pairing(canon: CanonicalModel) -> list[tuple[int, int]]:
         for j in few[pos + 1:]:
             try:
                 _pair_rates(canon, i, j)
-            except (SameSignPair, NotTwoVariable, NoPositiveBranch):
+            except (DegeneratePair, SameSignPair, NotTwoVariable, NoPositiveBranch):
                 continue
             out.append((i, j))
     return out
@@ -127,8 +127,9 @@ def conversion_rates(canon: CanonicalModel, pairing=None) -> list[ConversionRate
     are solved for their proportionality coefficient; only branches
     with a positive, finite coefficient are acceptable trades. Raises
     NotTwoVariable when a pair involves more than two variables and
-    NoPositiveBranch when neither sign works; the default pairing
-    holds only pairs that pass both.
+    NoPositiveBranch when neither sign works, and DegeneratePair for an
+    axis with a zero eigenvalue; the default pairing holds only pairs
+    that pass all three.
     """
     if pairing is None:
         pairing = default_pairing(canon)

@@ -1,6 +1,8 @@
 """File formats, report generation, and the command line."""
 
 import contextlib
+import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -182,6 +184,9 @@ class TestModelFiles:
         (model_doc(terms={}), "'terms' must be a list"),
         (model_doc(terms=[{"vars": [], "coef": 1.0}]), "term 0: needs 1 or 2 variables, got 0"),
         (model_doc(terms=[{"vars": ["x"] * 3, "coef": 1.0}]), "term 0: needs 1 or 2 variables, got 3"),
+        (model_doc(response_label=5), "'response_label' must be a string"),
+        ({**model_doc(), "response_label": None}, "'response_label' must be a string"),
+        (model_doc(response_label=["a"]), "'response_label' must be a string"),
     ])
     def test_schema_error_names_file_and_rule(self, tmp_path, doc, message):
         path = tmp_path / "model.json"
@@ -482,6 +487,13 @@ def test_all_lists_exactly_the_public_names():
     assert set(rc.__all__) == public | {"__version__"}
 
 
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from rsmcanon import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(rc.__all__)
+    assert "__version__" in rc.__all__
+
+
 class TestReport:
     def test_deterministic_bytes(self, eu_model):
         first = rc.run_analysis(eu_model, center=EU_WORKED_CENTER)
@@ -614,6 +626,16 @@ class TestCli:
                      "-o", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 11
+
+    def test_regions_csv_header_quotes_names(self, eu_model, tmp_path, capsys):
+        # a model file accepts any string as a variable name
+        names = ("Li,quid", 'G"a', "Fl\nares", "Bu")
+        path = tmp_path / "odd.json"
+        rc.save_model(dataclasses.replace(eu_model, names=names), path)
+        assert main(["regions", str(path), "--pair", "1,3", "--samples", "3"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["param", "r", "z_1", "z_3", *names]
+        assert len(rows) == 4 and all(len(row) == 4 + len(names) for row in rows)
 
     def test_tradeoff(self, model_path, capsys):
         assert main(["tradeoff", model_path]) == 0

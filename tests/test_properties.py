@@ -609,8 +609,8 @@ def test_jacobi_digest_at_benchmark_sizes(name):
 
 def pairing_oracle(canon):
     """``default_pairing`` without the per-axis prefilter: every
-    opposite-sign pair for which ``conversion_rates`` raises neither
-    NotTwoVariable nor NoPositiveBranch."""
+    opposite-sign pair for which ``conversion_rates`` raises none of
+    DegeneratePair, NotTwoVariable and NoPositiveBranch."""
     out = []
     for i in range(1, canon.n + 1):
         for j in range(i + 1, canon.n + 1):
@@ -618,7 +618,7 @@ def pairing_oracle(canon):
                 continue
             try:
                 rc.conversion_rates(canon, [(i, j)])
-            except (rc.NotTwoVariable, rc.NoPositiveBranch):
+            except (rc.DegeneratePair, rc.NotTwoVariable, rc.NoPositiveBranch):
                 continue
             out.append((i, j))
     return out

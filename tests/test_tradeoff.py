@@ -110,6 +110,15 @@ class TestConversionRates:
         assert li_fl.ratio == pytest.approx(EU_RATE_LI_FL, rel=1e-3)
         assert all(r.bound == 0.0 for r in rates)
 
+    def test_default_pairing_skips_degenerate_axis(self):
+        frame = saddle_frame([2.0, -1.0, 0.0], np.eye(3), ("a", "b", "c"))
+        assert default_pairing(frame) == [(1, 2)]
+        rates = conversion_rates(frame)
+        assert [(r.from_variable, r.to_variable) for r in rates] == [("a", "b")]
+        assert rates[0].ratio == pytest.approx(np.sqrt(0.5), rel=1e-15)
+        with pytest.raises(DegeneratePair):
+            conversion_rates(frame, [(1, 3)])
+
     def test_orthogonal_unit_pair(self):
         frame = saddle_frame([1.0, -1.0], np.eye(2), ("x", "y"))
         rates = conversion_rates(frame, [(1, 2)])
