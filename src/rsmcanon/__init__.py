@@ -15,11 +15,7 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .canonical import (
-    MAXIMUM,
-    MINIMUM,
-    SADDLE,
     CanonicalModel,
-    StationaryKind,
     canonical_response,
     canonicalize,
     check_pair,

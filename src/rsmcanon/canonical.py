@@ -6,9 +6,9 @@ a pure weighted sum of squares:
 
     Y = y0 + sum_k lambda_k z_k**2,      z_k = V_k' (X - center)
 
-The eigenvalue signs classify the stationary point (maximum, minimum,
-saddle, or degenerate). Canonical axes are numbered from 1 to match
-the usual z_1 .. z_n labelling.
+The eigenvalue signs classify the stationary point, labelled "maximum",
+"minimum", "saddle" or "degenerate". Canonical axes are numbered from 1
+to match the usual z_1 .. z_n labelling.
 
 One rule, ``degenerate_axes`` (``linalg.small_axes`` at ZERO_TOL_FACTOR,
 1-based), marks axis k degenerate when |lambda_k| <= ZERO_TOL_FACTOR *
@@ -18,6 +18,7 @@ undefined. ``canonicalize``, ``classify`` and ``check_pair`` apply it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,43 +34,24 @@ ZERO_TOL_FACTOR = 1e-9
 AXIS_LABEL_THRESHOLD = 0.2
 
 
-@dataclass(frozen=True)
-class StationaryKind:
-    """Classification of the stationary point by eigenvalue signs."""
-
-    label: str
-    degenerate_axes: tuple[int, ...] = ()
-
-    def __str__(self) -> str:
-        if self.label == "degenerate":
-            axes = ", ".join(f"z{k}" for k in self.degenerate_axes)
-            return f"degenerate ({axes})"
-        return self.label
-
-
-MAXIMUM = StationaryKind("maximum")
-MINIMUM = StationaryKind("minimum")
-SADDLE = StationaryKind("saddle")
-
-
 def degenerate_axes(lambdas) -> tuple[int, ...]:
     """1-based ``small_axes`` at ZERO_TOL_FACTOR: the axes with |lambda| <=
     ZERO_TOL_FACTOR * max|lambda| (all axes of a zero spectrum)."""
     return tuple((small_axes(lambdas, ZERO_TOL_FACTOR) + 1).tolist())
 
 
-def classify(lambdas) -> StationaryKind:
-    """Classify by signs: all negative -> maximum, all positive ->
-    minimum, any degenerate axis -> degenerate, mixed -> saddle."""
+def classify(lambdas) -> str:
+    """The stationary point's kind by eigenvalue signs: "degenerate" if
+    ``degenerate_axes`` finds an axis, else "maximum" (all negative),
+    "minimum" (all positive) or "saddle" (mixed)."""
     lam = np.asarray(lambdas, dtype=float)
-    bad = degenerate_axes(lam)
-    if bad:
-        return StationaryKind("degenerate", bad)
+    if degenerate_axes(lam):
+        return "degenerate"
     if (lam < 0).all():
-        return MAXIMUM
+        return "maximum"
     if (lam > 0).all():
-        return MINIMUM
-    return SADDLE
+        return "minimum"
+    return "saddle"
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +60,8 @@ class CanonicalModel:
 
     ``axes`` holds the orthonormal eigenvectors as columns, ordered by
     descending |lambda| alongside ``lambdas``. ``y0`` is the
-    transformed response at the center. ``kind`` is derived from
-    ``lambdas`` by ``classify``, so it cannot contradict them.
+    transformed response at the center. ``kind`` is the label
+    ``classify`` derives from ``lambdas``, so it cannot contradict them.
     """
 
     names: tuple[str, ...]
@@ -93,7 +75,7 @@ class CanonicalModel:
         return len(self.names)
 
     @property
-    def kind(self) -> StationaryKind:
+    def kind(self) -> str:
         return classify(self.lambdas)
 
     def axis_label(self, k: int) -> str:
@@ -148,12 +130,16 @@ def canonicalize(model: QuadraticModel) -> CanonicalModel:
 def check_pair(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
     """(lambda_i, lambda_j) for a region or trade pair.
 
-    Raises IndexOutOfRange unless i and j are distinct axes in 1..n,
-    and DegeneratePair if either is one of the ``degenerate_axes``.
+    Raises IndexOutOfRange unless i and j are distinct integer axes in
+    1..n, and DegeneratePair if either is one of the ``degenerate_axes``.
     """
     if i == j:
         raise IndexOutOfRange(f"canonical pair needs two distinct axes, got ({i}, {j})")
     for k in (i, j):
+        try:
+            operator.index(k)
+        except TypeError:
+            raise IndexOutOfRange(f"canonical axis {k!r} is not an integer") from None
         if not 1 <= k <= canon.n:
             raise IndexOutOfRange(f"canonical axis {k} outside 1..{canon.n}")
     degenerate = degenerate_axes(canon.lambdas)

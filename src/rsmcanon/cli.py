@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .canonical import canonicalize, with_center
-from .errors import InputError, NumericalError, RsmError
+from .errors import DimensionMismatch, InputError, NumericalError, RsmError
 from .fitting import Dataset, ols_fit
-from .model import predict_response
+from .model import ModelTerm, check_terms, predict_response
 from .modelio import (
     EMISSIONS_NAMES,
     atomic_write,
@@ -59,17 +59,20 @@ def _parse_vector(text: str) -> np.ndarray | None:  # "" keeps the default
         raise InputError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _parse_terms(text: str) -> list[tuple[int, ...]]:
+def _parse_terms(text: str) -> list[ModelTerm]:
     index = {name: k for k, name in enumerate(EMISSIONS_NAMES)}
     terms = []
     for chunk in filter(None, map(str.strip, text.split(","))):
+        parts = chunk.split(":")
+        if len(parts) > 2:
+            raise DimensionMismatch(f"term {chunk!r} has more than two variables")
         try:
-            terms.append(tuple(index[part] for part in chunk.split(":")))
+            terms.append(ModelTerm(tuple(index[part] for part in parts), 0.0))
         except KeyError as exc:
             raise InputError(f"unknown variable {exc.args[0]!r} in term {chunk!r}") from None
     if not terms:
         raise InputError("no terms given")
-    return terms
+    return check_terms(terms, EMISSIONS_NAMES)
 
 
 def _parse_years(text: str) -> list[int]:

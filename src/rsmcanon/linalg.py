@@ -3,8 +3,7 @@
 The eigensolver is a Jacobi iteration that applies each sweep's
 row-cyclic rotations in wavefront steps of disjoint pairs, rotates only
 above a relative threshold, so graded matrices keep high relative
-accuracy, and stops when a test of all pairs before a sweep finds none to
-rotate (exact, as only rotations change the matrix). It sweeps a copy
+accuracy, and stops after a sweep that rotates nothing. It sweeps a copy
 scaled exactly, by a power of four, to max|a| in [1/4, 1), so only an
 eigenvalue past the largest float can overflow (NumericalError). Order
 and sign convention are fixed: identical inputs give bit-identical output
@@ -132,15 +131,14 @@ def jacobi_eigen(matrix) -> EigenDecomposition:
     math.hypot rounds differently from the C library hypot behind np.hypot,
     in the last bit of about 0.6% of standard normal pairs. J is written in
     one scatter, and v is kept under a in one 2n x n array, so one product
-    [J'a; v] J updates both and a still rounds as (J'a) J. Before each
-    sweep all pairs take the step test at once; if none would rotate, the
-    iteration ends, with no idle sweep. That is exact: only rotations
-    change the matrix, so a sweep's first rotating step sees it as the
-    sweep began.
+    [J'a; v] J updates both and a still rounds as (J'a) J. The iteration
+    ends after a sweep that rotates nothing: only rotations change the
+    matrix, so every later sweep would rotate nothing either.
 
-    Raises NonConvergence if a sweep after the first JACOBI_MAX_SWEEPS,
-    read at call time, would still rotate: pathological input, as any
-    finite symmetric matrix of this size converges in a handful of sweeps.
+    Raises NonConvergence at the first step that would rotate in a sweep
+    after the first JACOBI_MAX_SWEEPS, read at call time: pathological
+    input, as any finite symmetric matrix of this size converges in a
+    handful of sweeps.
     Raises NumericalError if an eigenvalue exceeds the largest float.
     """
     source = as_sym_matrix(matrix)
@@ -153,19 +151,16 @@ def jacobi_eigen(matrix) -> EigenDecomposition:
     av = np.vstack((np.ldexp(source.array[perm][:, perm], 2 * k), eye[:, perm]))  # a over v
     rotations = 0
     for sweep in itertools.count():
-        g = av.take(_all_pairs(n))  # every pair, as this sweep begins
-        root = np.sqrt(np.abs(g[1:]))
-        if not (np.abs(g[0]) > JACOBI_TOL * root[0] * root[1]).any():
-            break
-        if sweep >= JACOBI_MAX_SWEEPS:
-            raise NonConvergence(f"off-diagonal entries above {JACOBI_TOL:g} sqrt|a_pp a_qq| "
-                                 f"after {JACOBI_MAX_SWEEPS} sweeps")
+        before = rotations
         for gather, scatter in _wavefront(n):
             apq, app, aqq = av.take(gather).tolist()
             rot = [k for k, x in enumerate(apq)
                    if abs(x) > JACOBI_TOL * math.sqrt(abs(app[k])) * math.sqrt(abs(aqq[k]))]
             if not rot:
                 continue
+            if sweep >= JACOBI_MAX_SWEEPS:
+                raise NonConvergence(f"off-diagonal entries above {JACOBI_TOL:g} sqrt|a_pp a_qq| "
+                                     f"after {JACOBI_MAX_SWEEPS} sweeps")
             rotations += len(rot)
             if len(rot) < len(apq):
                 apq, app, aqq = ([row[k] for k in rot] for row in (apq, app, aqq))
@@ -183,6 +178,8 @@ def jacobi_eigen(matrix) -> EigenDecomposition:
             av[:n] = j.T @ av[:n]
             av = av @ j  # [J'a; v] J: a <- J'aJ and v <- vJ
             av.put(scatter[2:], 0.0)  # a_pq and a_qp, zero in exact arithmetic
+        if rotations == before:
+            break
 
     with np.errstate(over="ignore"):
         diag = np.ldexp(av.diagonal(), -2 * k)  # of a, the top n rows
@@ -218,15 +215,6 @@ def _wavefront(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             pos.setflags(write=False)
         steps.append(step)
     return tuple(steps)
-
-
-@functools.lru_cache(maxsize=None)
-def _all_pairs(n: int) -> np.ndarray:
-    """Read-only gather rows (pq, pp, qq) of all pairs p < q, n x n."""
-    p, q = np.triu_indices(n, 1)
-    gather = np.array([p * n + q, p * (n + 1), q * (n + 1)])
-    gather.setflags(write=False)
-    return gather
 
 
 def small_axes(lambdas, factor: float) -> np.ndarray:

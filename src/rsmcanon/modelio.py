@@ -81,8 +81,9 @@ def atomic_write(path, text: str) -> None:
 
 
 def load_model_document(path) -> dict:
-    """Read and schema-check a model JSON file, metadata included."""
-    with open(path) as handle:
+    """Read and schema-check a model JSON file, metadata included. The file
+    is UTF-8, with or without a byte-order mark."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             doc = json.load(handle)
         except ValueError as exc:  # malformed, or an integer literal past int()'s digit limit
@@ -243,13 +244,14 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
     names a duplicate (year, country), a malformed or non-finite cell (a
     digit-group underscore, as in ``1_000``, is malformed), an
     overflowing year total, conflicting co2_ppmv within a year, bytes
-    that do not decode or CSV the reader refuses; co2_ppmv may be blank.
+    that do not decode as UTF-8 (a byte-order mark is allowed) or CSV the
+    reader refuses; co2_ppmv may be blank.
     A line number is the file line a record starts on, which a quoted
     cell holding a line break can put past the record's index.
     """
     exclude = {operator.index(y) for y in exclude_years}  # TypeError for 1964.9 or "1964"
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             records = [(reader.line_num, cells) for cells in reader]  # (last line, cells)
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -37,13 +37,13 @@ def negative_definite_model():
 class TestCanonicalize:
     def test_eu_eigenvalues_and_kind(self, eu_canon):
         np.testing.assert_allclose(eu_canon.lambdas, EU_LAMBDAS_REF, rtol=PRINT_TOL)
-        assert eu_canon.kind.label == "saddle"
+        assert eu_canon.kind == "saddle"
 
     def test_maximum_with_zero_linear_part(self):
         canon = canonicalize(negative_definite_model())
         np.testing.assert_allclose(canon.center, np.zeros(2), atol=1e-15)
         assert canon.y0 == pytest.approx(2.0, rel=1e-14)
-        assert canon.kind.label == "maximum"
+        assert canon.kind == "maximum"
 
     def test_center_solves_gradient_system(self, eu_model, eu_canon):
         b = eu_model.interaction.array
@@ -131,22 +131,20 @@ class TestCanonicalResponse:
 
 class TestClassify:
     def test_eu_signs_give_saddle(self):
-        assert classify(EU_LAMBDAS_REF).label == "saddle"
+        assert classify(EU_LAMBDAS_REF) == "saddle"
 
     def test_all_negative(self):
-        assert classify([-1.0, -2.0]).label == "maximum"
+        assert classify([-1.0, -2.0]) == "maximum"
 
     def test_all_positive(self):
-        assert classify([3.0, 0.5]).label == "minimum"
+        assert classify([3.0, 0.5]) == "minimum"
 
     def test_degenerate_with_tolerance(self):
-        kind = classify([1.0, 1e-15])
-        assert kind.label == "degenerate"
-        assert kind.degenerate_axes == (2,)
-        assert str(kind) == "degenerate (z2)"
+        assert classify([1.0, 1e-15]) == "degenerate"
+        assert degenerate_axes([1.0, 1e-15]) == (2,)
 
     def test_just_above_cutoff_is_not_degenerate(self):
-        assert classify([1.0, 1.1e-9]).label == "minimum"
+        assert classify([1.0, 1.1e-9]) == "minimum"
 
     def test_cutoff_is_relative_to_largest_magnitude(self):
         assert degenerate_axes([-2.0, 2e-9, 4.1e-9]) == (2,)
@@ -154,13 +152,15 @@ class TestClassify:
 
 
 class TestCheckPair:
-    @pytest.mark.parametrize("i, j", [(0, 1), (5, 1), (1, 5), (2, 2)])
+    @pytest.mark.parametrize("i, j", [(0, 1), (5, 1), (1, 5), (2, 2), (1, 3.0), (3.0, 1),
+                                      (np.float64(2.0), 3)])
     def test_bad_axes_rejected(self, eu_canon, i, j):
         with pytest.raises(IndexOutOfRange):
             check_pair(eu_canon, i, j)
 
     def test_returns_eigenvalues_in_pair_order(self, eu_canon):
         assert check_pair(eu_canon, 3, 1) == (eu_canon.lambdas[2], eu_canon.lambdas[0])
+        assert check_pair(eu_canon, np.int64(3), 1) == check_pair(eu_canon, 3, 1)
 
     def test_degenerate_axis_at_the_cutoff(self):
         def frame(small):

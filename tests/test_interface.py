@@ -95,6 +95,17 @@ class TestModelFiles:
         with pytest.raises(rc.SchemaError, match="metadata keys must start with 'reference_'"):
             rc.save_model(eu_model, path, metadata={"note": "x"})
 
+    def test_byte_order_mark_loads_as_the_plain_file(self, eu_model, tmp_path):
+        # a UTF-8 byte-order mark, as some editors save JSON
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xef\xbb\xbf" + rc.bundled_eu_model_path().read_bytes())
+        again = rc.load_model(path)
+        assert (again.names, again.intercept, again.exponent, again.response_label) == (
+            eu_model.names, eu_model.intercept, eu_model.exponent, eu_model.response_label)
+        assert np.array_equal(again.linear, eu_model.linear)
+        assert np.array_equal(again.interaction.array, eu_model.interaction.array)
+        assert rc.load_model_document(path) == rc.load_model_document(rc.bundled_eu_model_path())
+
     def test_empty_terms_is_zero_model(self, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({
@@ -275,6 +286,17 @@ class TestEmissions:
         assert totals.years == (2000,)
         np.testing.assert_allclose(totals.values[0], [30.0, 3.0, 1.0, 5.0])
         assert totals.co2_ppmv == (316.0,)
+
+    def test_byte_order_mark_loads_as_the_plain_file(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_emissions(plain, noisy_emissions_rows())
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        rejected, totals = rc.load_emissions(marked)
+        want_rejected, want = rc.load_emissions(plain)
+        assert rejected == want_rejected
+        assert (totals.years, totals.co2_ppmv) == (want.years, want.co2_ppmv)
+        assert totals.values.tobytes() == want.values.tobytes()
 
     def test_year_exclusion(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -945,19 +967,36 @@ class TestInputChecks:
         (["analyze", "{model}", "--pairs", "1,3;2,0_4"], "pair '2,0_4' must contain integers"),
         (["analyze", "{model}", "--pairing", "1,4;2,0_3"], "pair '2,0_3' must contain integers"),
         (["tradeoff", "{model}", "--pairing", "1,4;2,0_3"], "pair '2,0_3' must contain integers"),
+        # a term error comes before the CSV is opened
+        (["fit", "{missing}", "--terms", "Li,Li:Xx"], "unknown variable 'Xx' in term 'Li:Xx'"),
     ])
     def test_malformed_arguments(self, model_path, tmp_path, capsys, args, message):
         write_emissions(tmp_path / "co2.csv", noisy_emissions_rows())
         write_emissions(tmp_path / "bare.csv", ["2000,Austria,1,2,3,4"],
                         header=EMISSIONS_HEADER.removesuffix(",co2_ppmv"))
         out = tmp_path / "out"
-        paths = {"model": model_path, "co2": tmp_path / "co2.csv", "bare": tmp_path / "bare.csv"}
+        paths = {"model": model_path, "co2": tmp_path / "co2.csv", "bare": tmp_path / "bare.csv",
+                 "missing": tmp_path / "missing.csv"}
         if args[0] == "fit":
             args = args + ["--exponent", "1.0"]
         if args[0] != "predict":
             args = args + ["-o", str(out)]
         assert main([arg.format(**paths) for arg in args]) == 2
-        assert message in one_error_line(capsys, "InputError")
+        err = one_error_line(capsys, "InputError")
+        assert message in err and "missing.csv" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("terms, name, message", [
+        ("Li,Li", "DuplicateTerm", "term Li supplied twice"),
+        ("Ga:Li,Li:Ga", "DuplicateTerm", "term Li:Ga supplied twice"),
+        ("Li:Ga:Bu", "DimensionMismatch", "term 'Li:Ga:Bu' has more than two variables"),
+    ])
+    def test_fit_term_rule_comes_before_the_csv(self, tmp_path, capsys, terms, name, message):
+        out = tmp_path / "out"
+        assert main(["fit", str(tmp_path / "missing.csv"), "--terms", terms,
+                     "--exponent", "1.0", "-o", str(out)]) == 2
+        err = one_error_line(capsys, name)
+        assert message in err and "missing.csv" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [

@@ -21,7 +21,8 @@ must reject a non-finite entry before any arithmetic can warn.
 Marginal-rate ratios must not move when M is scaled anywhere from the
 smallest subnormal up to the largest bound a region accepts. The
 eigensolver and the default pairing must match, bit for bit, oracles
-kept here that skip neither the last idle Jacobi sweep nor any pair of
+kept here: a Jacobi iteration that takes each step's rotation test and
+angles in numpy's elementwise form, and a pairing that skips no pair of
 axes; the eigensolver also at the sizes the benchmark solves, where
 sha256 digests pin its output. On spectra graded across the 1e-12 and 1e-9 cutoffs, with
 eigenvalues on them and an ulp to either side, ``solve`` raises exactly
@@ -407,10 +408,12 @@ def test_one_eigendecomposition_per_fit(case):
 
 
 def jacobi_oracle(matrix, max_sweeps=linalg.JACOBI_MAX_SWEEPS, tol=linalg.JACOBI_TOL):
-    """``jacobi_eigen`` without the sweep-start test: every sweep runs its
-    steps, and the iteration ends after one that rotates nothing. Like the
-    solver, it sweeps a copy scaled by the power of four 4^k that puts
-    max|a| in [1/4, 1) and scales the diagonal back by 4^-k.
+    """``jacobi_eigen`` with each step's rotation test and angles in
+    numpy's elementwise form, where the solver takes them in Python floats.
+    Like the solver, it ends after a sweep that rotates nothing, raises at
+    the first step that would rotate in a sweep past ``max_sweeps``, and
+    sweeps a copy scaled by the power of four 4^k that puts max|a| in
+    [1/4, 1), scaling the diagonal back by 4^-k.
     Returns (lambdas, vectors, sweeps that rotated, rotations)."""
     a = rc.SymMatrix(matrix).array
     n = a.shape[0]
