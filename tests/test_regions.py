@@ -105,8 +105,15 @@ class TestEllipseRegion:
         assert rows["Ga"][2] == rows["Bu"][2] == 0.0
 
     def test_wrong_kind_rejected(self, eu_canon):
-        with pytest.raises(WrongKind):
+        with pytest.raises(WrongKind, match=r"^pair \(1, 2\) has mixed eigenvalue signs; "
+                                            r"use hyperbola_region$"):
             ellipse_region(eu_canon, 1, 2, M_IPCC)
+
+    @pytest.mark.parametrize("build, pair", [(ellipse_region, (1, 2)),
+                                             (hyperbola_region, (1, 3))])
+    def test_wrong_kind_comes_before_the_bound(self, eu_canon, build, pair):
+        with pytest.raises(WrongKind):
+            build(eu_canon, *pair, -1.0)
 
     def test_non_positive_bound(self, eu_canon):
         with pytest.raises(NonPositiveBound):
@@ -156,7 +163,8 @@ class TestHyperbolaRegion:
         assert slope == pytest.approx(1.01024, abs=1e-4)
 
     def test_wrong_kind_rejected(self, eu_canon):
-        with pytest.raises(WrongKind):
+        with pytest.raises(WrongKind, match=r"^pair \(1, 3\) has same-sign eigenvalues; "
+                                            r"use ellipse_region$"):
             hyperbola_region(eu_canon, 1, 3, M_IPCC)
 
     def test_family_identity_on_boundary(self, eu_canon):
@@ -306,5 +314,6 @@ class TestMaxIntervals:
             assert half == pytest.approx(1.0, rel=1e-12)
 
     def test_hyperbola_rejected(self, eu_canon):
-        with pytest.raises(WrongKind):
+        with pytest.raises(WrongKind, match="^maximal intervals are defined for elliptical "
+                                            "regions only$"):
             max_intervals(hyperbola_region(eu_canon, 2, 3, M_IPCC))

@@ -218,7 +218,8 @@ class TestMarginalRates:
                                    rtol=1e-13)
 
     def test_ellipse_rejected(self, eu_canon):
-        with pytest.raises(WrongKind):
+        with pytest.raises(WrongKind, match="^marginal rates are defined for hyperbolic "
+                                            "regions only$"):
             marginal_rates(ellipse_region(eu_canon, 1, 3, M_IPCC))
 
     def test_no_coupling_gives_no_rates(self):
