@@ -22,7 +22,7 @@ canon = rc.canonicalize(model)
 print("Region kind per canonical pair:")
 for i in range(1, 5):
     for j in range(i + 1, 5):
-        print(f"  (z{i}, z{j}): {rc.region_kind(canon, i, j).value}")
+        print(f"  (z{i}, z{j}): {rc.region_kind(canon, i, j)}")
 print()
 
 # --- Elliptical pair (z1, z3), quoted about the published center ----

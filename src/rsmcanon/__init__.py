@@ -74,7 +74,6 @@ from .modelio import (
     save_model,
 )
 from .regions import (
-    RegionKind,
     RegionParametrization,
     boundary_points,
     contains,

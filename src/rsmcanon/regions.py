@@ -20,14 +20,14 @@ probabilistic coverage set. M must be positive and finite;
 their own arithmetic under ``np.errstate(over="raise")``.
 
 ``region_kind`` is the one sign rule for a pair: it compares signs, as
-the product of tiny eigenvalues underflows. ``region`` builds a pair's
-region with ``ellipse_region`` or ``hyperbola_region`` as it dictates;
-a pair is usable when ``canonical.check_pair`` accepts it.
+the product of tiny eigenvalues underflows, and returns the label
+"elliptical_maximum", "elliptical_minimum" or "hyperbolic". ``region``
+builds a pair's region as the label dictates, through one checked
+builder; a pair is usable when ``canonical.check_pair`` accepts it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -44,46 +44,34 @@ DEFAULT_T_MAX = 3.0
 DEFAULT_BOUND = 1e-8
 
 
-class RegionKind(enum.Enum):
-    """Conic class of a canonical pair's confidence region."""
-
-    ELLIPTICAL_MAXIMUM = "elliptical_maximum"
-    ELLIPTICAL_MINIMUM = "elliptical_minimum"
-    HYPERBOLIC = "hyperbolic"
-
-    @property
-    def is_elliptical(self) -> bool:
-        return self is not RegionKind.HYPERBOLIC
-
-
 @dataclass(frozen=True, eq=False)
 class RegionParametrization:
     """A parametrized 2D region boundary for one canonical pair.
 
-    ``pair`` holds 1-based canonical indices in basis order: for
-    ellipses (cos axis, sin axis) as requested, for hyperbolas
-    (cosh axis with lambda > 0, sinh axis with lambda < 0).
+    ``kind`` is the pair's ``region_kind`` label; ``unbounded`` (a
+    hyperbolic band) is the one test of it. ``pair`` holds 1-based
+    canonical indices in basis order: for ellipses (cos axis, sin axis)
+    as requested, for hyperbolas (cosh axis with lambda > 0, sinh axis
+    with lambda < 0).
     ``affine`` is an (n, 3) table of (center, coef on basis 1, coef on
     basis 2) rows, one per original variable.
     """
 
     pair: tuple[int, int]
     bound: float
-    kind: RegionKind
+    kind: str
     semiaxes: tuple[float, float]
     names: tuple[str, ...]
     affine: np.ndarray
 
     @property
-    def basis(self) -> tuple[str, str]:
-        if self.kind.is_elliptical:
-            return ("cos", "sin")
-        return ("cosh", "sinh")
-
-    @property
     def unbounded(self) -> bool:
         """Hyperbolic bands do not enclose a finite region."""
-        return not self.kind.is_elliptical
+        return self.kind == "hyperbolic"
+
+    @property
+    def basis(self) -> tuple[str, str]:
+        return ("cosh", "sinh") if self.unbounded else ("cos", "sin")
 
 
 def check_bound(bound: float) -> float:
@@ -93,69 +81,60 @@ def check_bound(bound: float) -> float:
     return float(bound)
 
 
-def region_kind(canon: CanonicalModel, i: int, j: int) -> RegionKind:
-    """Classify the (z_i, z_j) region by comparing the eigenvalue signs
+def region_kind(canon: CanonicalModel, i: int, j: int) -> str:
+    """Label the (z_i, z_j) region by comparing the eigenvalue signs
     (elliptical when they agree), not by their product, which underflows."""
     li, lj = check_pair(canon, i, j)
     if (li < 0.0) == (lj < 0.0):
-        return RegionKind.ELLIPTICAL_MAXIMUM if li < 0.0 else RegionKind.ELLIPTICAL_MINIMUM
-    return RegionKind.HYPERBOLIC
+        return "elliptical_maximum" if li < 0.0 else "elliptical_minimum"
+    return "hyperbolic"
 
 
 def region(canon: CanonicalModel, i: int, j: int, bound: float) -> RegionParametrization:
-    """The (z_i, z_j) region at bound M, built as ``region_kind`` dictates."""
-    build = ellipse_region if region_kind(canon, i, j).is_elliptical else hyperbola_region
+    """The (z_i, z_j) region at bound M, built as ``region_kind`` dictates.
+
+    ``ellipse_region`` builds z_i = a_i r cos(t), z_j = a_j r sin(t),
+    r <= 1 for a same-sign pair, and ``hyperbola_region`` the band
+    z_pos = a r cosh(t), z_neg = b r sinh(t), |r| <= 1 for a mixed-sign
+    pair, its positive-eigenvalue axis first whichever order is asked.
+    The band is unbounded: it bounds the response fluctuation without
+    enclosing a finite region. Semiaxes are sqrt(M/|lambda|). The affine
+    table is centered at ``canon.center``; ``with_center`` moves it.
+    Given a pair of the other kind, either raises WrongKind naming the
+    other, before it checks the bound.
+    """
+    build = hyperbola_region if region_kind(canon, i, j) == "hyperbolic" else ellipse_region
     return build(canon, i, j, bound)
 
 
 def ellipse_region(canon: CanonicalModel, i: int, j: int, bound: float) -> RegionParametrization:
-    """Elliptical region z_i = a_i r cos(t), z_j = a_j r sin(t), r <= 1.
-
-    Semiaxes are sqrt(M/|lambda|). The affine table is centered at
-    ``canon.center``; ``with_center`` moves it (the shape itself is
-    translation invariant).
-    """
-    kind = region_kind(canon, i, j)
-    if not kind.is_elliptical:
-        raise WrongKind(f"pair ({i}, {j}) has mixed eigenvalue signs; use hyperbola_region")
-    return _build(canon, (i, j), kind, bound)
+    return _build(canon, i, j, bound, unbounded=False)
 
 
 def hyperbola_region(canon: CanonicalModel, i: int, j: int, bound: float) -> RegionParametrization:
-    """Hyperbolic band z_pos = a r cosh(t), z_neg = b r sinh(t), |r| <= 1.
+    return _build(canon, i, j, bound, unbounded=True)
 
-    The positive-eigenvalue axis carries cosh and the negative one
-    sinh; the pair is reordered internally if needed. The band is
-    unbounded, so it bounds the response fluctuation without enclosing
-    a finite region.
-    """
+
+def _build(canon: CanonicalModel, i: int, j: int, bound: float,
+           unbounded: bool) -> RegionParametrization:
+    """The checked builder behind ``region``: WrongKind unless the pair's
+    kind is the one asked for, then ``check_bound``, and InputError for a
+    bound so large that the semiaxes overflow."""
     kind = region_kind(canon, i, j)
-    if kind.is_elliptical:
-        raise WrongKind(f"pair ({i}, {j}) has same-sign eigenvalues; use ellipse_region")
-    pair = (i, j) if canon.lambdas[i - 1] > 0.0 else (j, i)
-    return _build(canon, pair, kind, bound)
-
-
-def _build(canon: CanonicalModel, pair: tuple[int, int], kind: RegionKind,
-           bound: float) -> RegionParametrization:
-    """Region for ``pair`` in basis order; semiaxes are sqrt(M/|lambda|),
-    and InputError names a bound so large that they overflow."""
+    if (kind == "hyperbolic") != unbounded:
+        raise WrongKind(f"pair ({i}, {j}) has same-sign eigenvalues; use ellipse_region"
+                        if unbounded else
+                        f"pair ({i}, {j}) has mixed eigenvalue signs; use hyperbola_region")
     bound = check_bound(bound)
-    i, j = pair
+    i, j = pair = (j, i) if unbounded and not canon.lambdas[i - 1] > 0.0 else (i, j)
     a_i = math.sqrt(bound / abs(float(canon.lambdas[i - 1])))
     a_j = math.sqrt(bound / abs(float(canon.lambdas[j - 1])))
     if math.isinf(a_i + a_j):
         raise InputError(f"bound {bound!r} overflows the semiaxes of pair {pair}")
-    affine = np.column_stack([
-        canon.center,
-        a_i * canon.axes[:, i - 1],
-        a_j * canon.axes[:, j - 1],
-    ])
+    affine = np.column_stack([canon.center, a_i * canon.axes[:, i - 1], a_j * canon.axes[:, j - 1]])
     affine.setflags(write=False)
-    return RegionParametrization(
-        pair=pair, bound=bound, kind=kind,
-        semiaxes=(a_i, a_j), names=canon.names, affine=affine,
-    )
+    return RegionParametrization(pair=pair, bound=bound, kind=kind, semiaxes=(a_i, a_j),
+                                 names=canon.names, affine=affine)
 
 
 def boundary_points(region: RegionParametrization, count: int, t_max: float = DEFAULT_T_MAX
@@ -173,7 +152,7 @@ def boundary_points(region: RegionParametrization, count: int, t_max: float = DE
         raise InputError(f"need at least 2 samples, got {count}")
     if not 0.0 < t_max < np.inf:
         raise InputError(f"t_max must be positive and finite, got {t_max!r}")
-    if region.kind.is_elliptical:
+    if not region.unbounded:
         t, r = np.linspace(0.0, 2.0 * np.pi, count), np.ones(count)
     else:
         t = np.tile(np.linspace(-t_max, t_max, count), 2)
@@ -219,7 +198,7 @@ def max_intervals(region: RegionParametrization) -> list[tuple[str, float, float
     with axis-separated variables it reduces to the single nonzero
     coefficient. The box is looser than the ellipse itself.
     """
-    if not region.kind.is_elliptical:
+    if region.unbounded:
         raise WrongKind("maximal intervals are defined for elliptical regions only")
     out = []
     for name, (center_v, c1, c2) in zip(region.names, region.affine):

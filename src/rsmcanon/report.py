@@ -102,7 +102,7 @@ def _region_section(canon: CanonicalModel, i: int, j: int, bound: float) -> dict
     basis1, basis2 = reg.basis
     section = {
         "pair": list(reg.pair),
-        "kind": reg.kind.value,
+        "kind": reg.kind,
         "bound": reg.bound,
         "unbounded": reg.unbounded,
         "semiaxes": list(reg.semiaxes),
@@ -112,7 +112,7 @@ def _region_section(canon: CanonicalModel, i: int, j: int, bound: float) -> dict
             for name, (center, coef1, coef2) in zip(reg.names, reg.affine.tolist())
         ],
     }
-    if reg.kind.is_elliptical:
+    if not reg.unbounded:
         section["max_intervals"] = [
             {"variable": name, "center": c, "half_width": h}
             for name, c, h in max_intervals(reg)

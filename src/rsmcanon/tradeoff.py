@@ -63,7 +63,7 @@ def iso_slopes(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
     Requires opposite-sign eigenvalues, one to offset the other: raises
     SameSignPair where ``region_kind`` finds the pair elliptical.
     """
-    if region_kind(canon, i, j).is_elliptical:
+    if region_kind(canon, i, j) != "hyperbolic":
         raise SameSignPair(f"axes ({i}, {j}) have same-sign eigenvalues; no cancellation possible")
     slope = float(np.sqrt(abs(canon.lambdas[j - 1] / canon.lambdas[i - 1])))
     return (slope, -slope)
@@ -144,7 +144,7 @@ def marginal_rates(region: RegionParametrization) -> list[ConversionRate]:
     separately since the two move independently along the band. A band
     whose basis functions each move one variable gives no rates.
     """
-    if region.kind.is_elliptical:
+    if not region.unbounded:
         raise WrongKind("marginal rates are defined for hyperbolic regions only")
     rates: list[ConversionRate] = []
     for col, tag in enumerate(region.basis, start=1):

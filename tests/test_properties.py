@@ -159,7 +159,7 @@ def test_boundary_points_lie_on_the_conic(case, sample):
     canon, region = case
     count, t_max = sample
     t, r, z, x = rc.boundary_points(region, count, t_max)
-    assert len(t) == (count if region.kind.is_elliptical else 2 * count)
+    assert len(t) == (2 * count if region.unbounded else count)
     check_rows(canon, region, z, x)
 
 
@@ -169,14 +169,14 @@ def test_plot_csv_rows_lie_on_the_conic(case, sample):
     count, t_max = sample
     rows = np.loadtxt(io.StringIO(rc.emit_plot_csv(region, count, t_max)),
                       delimiter=",", skiprows=1, ndmin=2)
-    assert len(rows) == (count if region.kind.is_elliptical else 2 * count)
+    assert len(rows) == (2 * count if region.unbounded else count)
     check_rows(canon, region, rows[:, 2:4], rows[:, 4:])
 
 
 @given(regions(), st.floats(1e-3, 1e3))
 def test_semiaxes_scale_as_root_bound(case, factor):
     canon, region = case
-    build = rc.ellipse_region if region.kind.is_elliptical else rc.hyperbola_region
+    build = rc.hyperbola_region if region.unbounded else rc.ellipse_region
     scaled = build(canon, *region.pair, region.bound * factor ** 2)
     np.testing.assert_allclose(scaled.semiaxes, np.multiply(region.semiaxes, factor),
                                rtol=1e-12)

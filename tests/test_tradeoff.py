@@ -10,7 +10,6 @@ from rsmcanon import (
     InputError,
     NoPositiveBranch,
     NotTwoVariable,
-    RegionKind,
     QuadraticModel,
     RegionParametrization,
     SameSignPair,
@@ -49,7 +48,7 @@ def quoted_band() -> RegionParametrization:
     names = tuple(EU_QUOTED_HYPERBOLIC_AFFINE)
     affine = np.array([EU_QUOTED_HYPERBOLIC_AFFINE[name] for name in names])
     return RegionParametrization(
-        pair=(2, 3), bound=M_IPCC, kind=RegionKind.HYPERBOLIC,
+        pair=(2, 3), bound=M_IPCC, kind="hyperbolic",
         semiaxes=(8625.4, 8713.76), names=names, affine=affine)
 
 
@@ -224,7 +223,7 @@ class TestMarginalRates:
 
     def test_no_coupling_gives_no_rates(self):
         lonely = RegionParametrization(
-            pair=(1, 2), bound=1.0, kind=RegionKind.HYPERBOLIC,
+            pair=(1, 2), bound=1.0, kind="hyperbolic",
             semiaxes=(1.0, 1.0), names=("x", "y"),
             affine=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         assert marginal_rates(lonely) == []
