@@ -8,7 +8,8 @@ numerical failures, numpy overflow and invalid operations included.
 
 argparse converts every argument, each number by ``modelio.strict_number``;
 commands call the library and write the text it renders, formatting no
-numbers themselves (``predict`` writes a repr).
+numbers themselves (``predict`` writes a repr, and ``fit`` names the
+years behind the rows of a response DomainError).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .canonical import canonicalize, with_center
-from .errors import DimensionMismatch, InputError, NumericalError, RsmError
+from .errors import DimensionMismatch, DomainError, InputError, NumericalError, RsmError
 from .fitting import Dataset, ols_fit
 from .model import ModelTerm, check_terms, predict_response
 from .modelio import (
@@ -63,7 +64,7 @@ def _parse_terms(text: str) -> list[ModelTerm]:
     index = {name: k for k, name in enumerate(EMISSIONS_NAMES)}
     terms = []
     for chunk in filter(None, map(str.strip, text.split(","))):
-        parts = chunk.split(":")
+        parts = [part.strip() for part in chunk.split(":")]
         if len(parts) > 2:
             raise DimensionMismatch(f"term {chunk!r} has more than two variables")
         try:
@@ -124,7 +125,14 @@ def _cmd_fit(args) -> int:
         y=np.array([totals.co2_ppmv[k] for k in kept]),
         names=EMISSIONS_NAMES,
     )
-    result = ols_fit(dataset, args.terms, args.exponent, response_label="CO2 ppmv")
+    try:
+        result = ols_fit(dataset, args.terms, args.exponent, response_label="CO2 ppmv")
+    except DomainError as exc:  # its rows index the kept years
+        if not hasattr(exc, "rows"):
+            raise
+        years = [totals.years[kept[k]] for k in exc.rows]
+        raise DomainError(f"{args.data}: exponent {args.exponent!r} requires positive co2_ppmv; "
+                          f"years {years} violate this") from None
     save_model(result.model, args.output)
     dropped = len(totals.years) - len(kept)
     sys.stdout.write(f"fit over {len(kept)} years"

@@ -337,9 +337,9 @@ def emit_plot_csv(region: RegionParametrization, count: int, t_max: float = DEFA
     quoted as the ``csv`` module quotes by default, one row per
     sample: ``count`` rows tracing a closed ellipse (the last row equals
     the first up to rounding), or ``count`` rows per hyperbola branch
-    (r = +1, then r = -1). ``boundary_points`` raises InputError for
-    count < 2, a t_max that is not positive and finite, or samples that
-    overflow.
+    (r = +1, then r = -1). ``boundary_points`` raises InputError for a
+    count that is not an integer of at least 2, a t_max that is not a
+    positive, finite number, or samples that overflow.
 
     The r = -1 rows reuse the r = +1 ``repr`` strings of param and z,
     flipping the sign of z by string (0.0 gives -0.0). That is exact:

@@ -16,8 +16,8 @@ Here M is a deterministic band on the transformed response, not a
 probabilistic coverage set. M must be positive and finite;
 ``check_bound`` is the one test of that, and NonPositiveBound its error.
 ``boundary_points`` is the one boundary sampler and the one test of
-``t_max``: positive and finite, with samples that do not overflow in
-their own arithmetic under ``np.errstate(over="raise")``.
+``t_max``: a positive, finite number, with samples that do not overflow
+in their own arithmetic under ``np.errstate(over="raise")``.
 
 ``region_kind`` is the one sign rule for a pair: it compares signs, as
 the product of tiny eigenvalues underflows, and returns the label
@@ -29,6 +29,7 @@ builder; a pair is usable when ``canonical.check_pair`` accepts it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,17 @@ class RegionParametrization:
         return ("cosh", "sinh") if self.unbounded else ("cos", "sin")
 
 
+def _positive_finite(value) -> bool:
+    """Whether ``value`` lies in (0, inf): a number, or an array without axes."""
+    try:
+        return 0.0 < value < math.inf and not getattr(value, "ndim", 0)
+    except (TypeError, ValueError):  # no order with floats, or an array of several entries
+        return False
+
+
 def check_bound(bound: float) -> float:
-    """M as a float; NonPositiveBound unless it is positive and finite."""
-    if not 0.0 < bound < math.inf:
+    """M as a float; NonPositiveBound unless it is a positive, finite number."""
+    if not _positive_finite(bound):
         raise NonPositiveBound(f"bound must be positive and finite, got {bound!r}")
     return float(bound)
 
@@ -148,9 +157,13 @@ def boundary_points(region: RegionParametrization, count: int, t_max: float = DE
     at count points spanning [-t_max, t_max] inclusive on the r = +1
     branch, then the same on the r = -1 branch, 2*count rows in all.
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise InputError(f"sample count {count!r} is not an integer") from None
     if count < 2:
         raise InputError(f"need at least 2 samples, got {count}")
-    if not 0.0 < t_max < np.inf:
+    if not _positive_finite(t_max):
         raise InputError(f"t_max must be positive and finite, got {t_max!r}")
     if not region.unbounded:
         t, r = np.linspace(0.0, 2.0 * np.pi, count), np.ones(count)

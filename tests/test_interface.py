@@ -1057,6 +1057,35 @@ class TestInputChecks:
         one_error_line(capsys, name)
         assert not out.exists()
 
+    def test_fit_terms_strip_spaces_around_the_colon(self, tmp_path, capsys):
+        write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
+        for name, terms in (("spaced.json", "Li , Ga : Bu"), ("plain.json", "Li,Ga:Bu")):
+            assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", terms,
+                         "--exponent", "1.0", "-o", str(tmp_path / name)]) == 0
+        assert (tmp_path / "spaced.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        capsys.readouterr()
+        assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", "Li:",
+                     "--exponent", "1.0", "-o", str(tmp_path / "out.json")]) == 2
+        assert "unknown variable '' in term 'Li:'" in one_error_line(capsys, "InputError")
+        assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", "Li, Ga: Xx ",
+                     "--exponent", "1.0", "-o", str(tmp_path / "out.json")]) == 2
+        assert "unknown variable 'Xx' in term 'Ga: Xx'" in one_error_line(capsys, "InputError")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_fit_non_positive_co2_names_the_year(self, tmp_path, capsys):
+        # 2001 carries no co2_ppmv, so 2002 is row 1 of the fit's data
+        rows = [f"{year},A,{year - 1999},2,3,4,{co2}"
+                for year, co2 in zip(range(2000, 2007), ["330", "", "-1", "331", "332", "333",
+                                                         "334"])]
+        write_emissions(tmp_path / "emissions.csv", rows)
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", "Li",
+                     "--exponent", "-2.376", "-o", str(out)]) == 2
+        err = one_error_line(capsys, "DomainError")
+        assert err == (f"rsmcanon: DomainError: {tmp_path / 'emissions.csv'}: exponent -2.376 "
+                       "requires positive co2_ppmv; years [2002] violate this\n")
+        assert not out.exists()
+
     def test_integer_scalars_render_as_floats(self, eu_model):
         model = rc.build_model(eu_model.terms, intercept=1, exponent=-2.376, names=eu_model.names)
         report = rc.run_analysis(model, bound=1, center=[534271, 286155, 8294, 82045])

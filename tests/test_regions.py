@@ -1,5 +1,6 @@
 """Conic confidence regions: classification, parametrization, membership."""
 
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from rsmcanon import (
     boundary_points,
     contains,
     ellipse_region,
+    emit_plot_csv,
     from_canonical,
     hyperbola_region,
     max_intervals,
@@ -70,6 +72,15 @@ class TestRegion:
         got, want = region(eu_canon, *pair, M_IPCC), build(eu_canon, *pair, M_IPCC)
         assert (got.kind, got.pair, got.semiaxes) == (want.kind, want.pair, want.semiaxes)
         np.testing.assert_array_equal(got.affine, want.affine)
+
+    @pytest.mark.parametrize("bound", ["1e-8", None, np.array([1e-8]), np.array([1e-8, 2e-8])],
+                             ids=["str", "none", "1-d", "2-d"])
+    @pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
+    def test_bound_that_is_not_a_number(self, eu_canon, bound, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveBound, match=f"got {re.escape(repr(bound))}$"):
+                region(eu_canon, *pair, bound)
 
 
 class TestEllipseRegion:
@@ -201,6 +212,33 @@ class TestBoundaryPoints:
                        hyperbola_region(eu_canon, 2, 3, M_IPCC)):
             with pytest.raises(InputError):
                 boundary_points(region, count, t_max)
+
+    @pytest.mark.parametrize("count", [5.0, "5", None, np.float64(5)],
+                             ids=["float", "str", "none", "np-float"])
+    def test_count_that_is_not_an_integer(self, eu_canon, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"sample count {re.escape(repr(count))} is not"):
+                emit_plot_csv(region(eu_canon, 2, 3, M_IPCC), count)
+
+    @pytest.mark.parametrize("t_max", ["3", None], ids=["str", "none"])
+    def test_t_max_that_is_not_a_number(self, eu_canon, t_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"got {re.escape(repr(t_max))}$"):
+                emit_plot_csv(region(eu_canon, 2, 3, M_IPCC), 5, t_max)
+
+    @pytest.mark.parametrize("bound, count, t_max", [
+        (1, np.int64(5), 3), (np.float64(1e-8), np.array(5), np.float64(3.0)),
+        (np.int64(1), 5, np.array(3.0)), (np.array(1e-8), 5, 3.0),
+    ])
+    def test_numbers_of_every_kind_still_pass(self, eu_canon, bound, count, t_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            band = region(eu_canon, 2, 3, bound)
+            assert type(band.bound) is float
+            assert emit_plot_csv(band, count, t_max) == emit_plot_csv(
+                region(eu_canon, 2, 3, float(bound)), 5, 3.0)
 
     @pytest.mark.parametrize("t_max", [705.0, 1000.0, 1e300])
     def test_overflowing_t_max_rejected_before_numpy_warns(self, eu_canon, t_max):
