@@ -87,8 +87,8 @@ def transform_response(values, exponent: float) -> np.ndarray:
     """Elementwise power transform of natural-units responses.
 
     Non-integer or negative exponents require strictly positive values;
-    the DomainError lists the offending row indices, kept as its ``rows``,
-    or names an exponent that is not finite or has no finite reciprocal.
+    the DomainError lists the offending row indices, or names an exponent
+    that is not finite or has no finite reciprocal.
     """
     reciprocal_exponent(exponent)
     vals = np.asarray(values, dtype=float)
@@ -96,10 +96,8 @@ def transform_response(values, exponent: float) -> np.ndarray:
     if needs_positive:
         bad = np.flatnonzero(~(vals > 0.0))
         if bad.size:
-            error = DomainError(f"exponent {exponent!r} requires positive responses; "
-                                f"rows {bad.tolist()} violate this")
-            error.rows = bad.tolist()
-            raise error
+            raise DomainError(f"exponent {exponent!r} requires positive responses; "
+                              f"rows {bad.tolist()} violate this")
     return vals ** exponent
 
 

@@ -7,9 +7,10 @@ F-values and the like) and never feed computation.
 
 Emissions CSVs have the header
 ``year,country,liquid,gas,gas_flares,bunker[,co2_ppmv]`` with
-quantities in thousand metric tons; ``load_emissions`` returns the
-rejected rows and the per-year totals across countries, less a year
-exclusion list. No unit conversion is performed.
+quantities in thousand metric tons; ``co2_ppmv`` may be blank, and is
+positive otherwise. ``load_emissions`` returns the rejected rows and the
+per-year totals across countries, less a year exclusion list. No unit
+conversion is performed.
 
 All file writes go through a write-temp-then-rename path so partial
 output never lands under the target name; a file that already holds
@@ -242,10 +243,10 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
     excluded years are parsed, so a malformed cell still raises, and
     dropped before the duplicate, sign and finiteness checks. ParseError
     names a duplicate (year, country), a malformed or non-finite cell (a
-    digit-group underscore, as in ``1_000``, is malformed), an
-    overflowing year total, conflicting co2_ppmv within a year, bytes
-    that do not decode as UTF-8 (a byte-order mark is allowed) or CSV the
-    reader refuses; co2_ppmv may be blank.
+    digit-group underscore, as in ``1_000``, is malformed), a co2_ppmv
+    that is not positive (it may be blank), an overflowing year total,
+    conflicting co2_ppmv within a year, bytes that do not decode as UTF-8
+    (a byte-order mark is allowed) or CSV the reader refuses.
     A line number is the file line a record starts on, which a quoted
     cell holding a line break can put past the record's index.
     """
@@ -307,6 +308,9 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
                 if cell.strip() and not math.isfinite(float(cell)):
                     raise ParseError(f"{path}: line {line_no}, column {field!r}: "
                                      f"{cell!r} is not finite")
+        if co2 is not None and co2 <= 0.0:  # -0.0 too
+            raise ParseError(f"{path}: line {line_no}, column 'co2_ppmv': "
+                             f"{record[6]!r} is not positive")
         total = sums.setdefault(year, [0.0, 0.0, 0.0, 0.0])
         for k, value in enumerate(values):
             total[k] += value  # a float sum past the range is inf, named below

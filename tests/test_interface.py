@@ -468,6 +468,28 @@ class TestEmissions:
         with pytest.raises(rc.ParseError, match=rf"line 3, column '{column}': .* not finite"):
             rc.load_emissions(path)
 
+    @pytest.mark.parametrize("co2", ["-1", "0", "0.0", "-0.0"])
+    def test_non_positive_co2_names_line_and_column(self, tmp_path, co2):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["2000,Austria,1,1,1,1,316.0", "2001,Austria,1,1,1,1,",
+                               f"2002,Austria,1,1,1,1,{co2}"])
+        with pytest.raises(rc.ParseError) as err:
+            rc.load_emissions(path)
+        assert str(err.value) == f"{path}: line 4, column 'co2_ppmv': {co2!r} is not positive"
+
+    def test_non_positive_co2_of_an_excluded_year_loads(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["1964,Austria,2,2,2,2,-1", "1965,Austria,3,3,3,3,320.0"])
+        rejected, totals = rc.load_emissions(path, exclude_years=[1964])
+        assert rejected == () and totals.years == (1965,) and totals.co2_ppmv == (320.0,)
+
+    def test_negative_emission_comes_before_the_co2_check(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_emissions(path, ["2000,Austria,-5,1,1,1,-1", "2000,Belgium,7,1,1,1,"])
+        rejected, totals = rc.load_emissions(path)
+        assert rejected == ((2, "negative emission for 'Austria' in 2000"),)
+        assert totals.years == (2000,) and totals.co2_ppmv == (None,)
+
     def test_finite_cells_with_an_overflowing_sum_are_kept(self, tmp_path):
         path = tmp_path / "e.csv"
         write_emissions(path, ["2000,Austria,1e308,1e308,1,1,316.0"])
@@ -1073,7 +1095,7 @@ class TestInputChecks:
         assert not (tmp_path / "out.json").exists()
 
     def test_fit_non_positive_co2_names_the_year(self, tmp_path, capsys):
-        # 2001 carries no co2_ppmv, so 2002 is row 1 of the fit's data
+        # the CSV names the year's place in the file: 2002 is on line 4
         rows = [f"{year},A,{year - 1999},2,3,4,{co2}"
                 for year, co2 in zip(range(2000, 2007), ["330", "", "-1", "331", "332", "333",
                                                          "334"])]
@@ -1081,9 +1103,21 @@ class TestInputChecks:
         out = tmp_path / "fit.json"
         assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", "Li",
                      "--exponent", "-2.376", "-o", str(out)]) == 2
-        err = one_error_line(capsys, "DomainError")
-        assert err == (f"rsmcanon: DomainError: {tmp_path / 'emissions.csv'}: exponent -2.376 "
-                       "requires positive co2_ppmv; years [2002] violate this\n")
+        err = one_error_line(capsys, "ParseError")
+        assert err == (f"rsmcanon: ParseError: {tmp_path / 'emissions.csv'}: line 4, "
+                       "column 'co2_ppmv': '-1' is not positive\n")
+        assert not out.exists()
+
+    def test_fit_non_positive_co2_is_refused_under_any_exponent(self, tmp_path, capsys):
+        # an integer exponent has a value at -1, but no concentration is negative
+        rows = [f"{year},A,{year - 1999},2,3,4,{co2}"
+                for year, co2 in zip(range(2000, 2006), ["330", "331", "-1", "332", "333", "334"])]
+        write_emissions(tmp_path / "emissions.csv", rows)
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(tmp_path / "emissions.csv"), "--terms", "Li,Ga:Bu",
+                     "--exponent", "1", "-o", str(out)]) == 2
+        assert "line 4, column 'co2_ppmv': '-1' is not positive" in one_error_line(capsys,
+                                                                                   "ParseError")
         assert not out.exists()
 
     def test_integer_scalars_render_as_floats(self, eu_model):
