@@ -82,6 +82,12 @@ def _parse_years(text: str) -> list[int]:
         raise InputError(f"--exclude-years: {exc}") from None
 
 
+def _parse_model_path(text: str) -> str:  # "-" is stdout for every other command
+    if text == "-":
+        raise InputError("fit writes a model file: -o needs a path, not '-'")
+    return text
+
+
 def _write_or_print(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -187,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="response transform power, e.g. -2.376")
     fit.add_argument("--exclude-years", type=_parse_years, dest="exclude_years", default="",
                      help="comma-separated years to drop, e.g. '1964'")
-    fit.add_argument("-o", "--output", required=True, help="model JSON to write")
+    fit.add_argument("-o", "--output", type=_parse_model_path, required=True, help="model JSON path")
     fit.set_defaults(func=_cmd_fit)
 
     predict = sub.add_parser("predict", help="natural-units response at a point")

@@ -7,10 +7,9 @@ F-values and the like) and never feed computation.
 
 Emissions CSVs have the header
 ``year,country,liquid,gas,gas_flares,bunker[,co2_ppmv]`` with
-quantities in thousand metric tons; ``co2_ppmv`` may be blank, and is
-positive otherwise. ``load_emissions`` returns the rejected rows and the
-per-year totals across countries, less a year exclusion list. No unit
-conversion is performed.
+quantities in thousand metric tons and a blank or positive co2_ppmv;
+``load_emissions`` returns the rejected rows and the per-year totals
+across countries, less a year exclusion list, in the file's units.
 
 All file writes go through a write-temp-then-rename path so partial
 output never lands under the target name; a file that already holds

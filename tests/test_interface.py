@@ -1120,6 +1120,16 @@ class TestInputChecks:
                                                                                    "ParseError")
         assert not out.exists()
 
+    @pytest.mark.parametrize("data", ["missing.csv", "emissions.csv"])
+    def test_fit_refuses_stdout_as_its_model_file(self, tmp_path, capsys, monkeypatch, data):
+        # every other command reads "-o -" as stdout; the argument error comes first
+        monkeypatch.chdir(tmp_path)
+        write_emissions(tmp_path / "emissions.csv", noisy_emissions_rows())
+        assert main(["fit", data, "--terms", "Li,Ga", "--exponent", "-2.376", "-o", "-"]) == 2
+        err = one_error_line(capsys, "InputError")
+        assert "fit writes a model file" in err and "missing.csv" not in err
+        assert not (tmp_path / "-").exists()
+
     def test_integer_scalars_render_as_floats(self, eu_model):
         model = rc.build_model(eu_model.terms, intercept=1, exponent=-2.376, names=eu_model.names)
         report = rc.run_analysis(model, bound=1, center=[534271, 286155, 8294, 82045])
