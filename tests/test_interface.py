@@ -451,11 +451,15 @@ class TestEmissions:
         write_emissions(path, ["1964,Austria,1,oops,1,1,319.0", "1965,Austria,3,3,3,3,320.0"])
         with pytest.raises(rc.ParseError, match="line 2, column 'gas'"):
             rc.load_emissions(path, exclude_years=[1964])
-        # a number that is not finite is checked only on rows that are kept
+        # a number that is not finite, or a co2_ppmv that is not positive, is
+        # checked only on rows that are kept
         write_emissions(path, ["1964,Austria,1,nan,1,1,inf", "1965,Austria,3,3,3,3,320.0"])
         rejected, totals = rc.load_emissions(path, exclude_years=[1964])
         assert rejected == () and totals.years == (1965,)
         np.testing.assert_array_equal(totals.values, [[3.0] * 4])
+        write_emissions(path, ["1964,Austria,2,2,2,2,-1", "1965,Austria,3,3,3,3,320.0"])
+        rejected, totals = rc.load_emissions(path, exclude_years=[1964])
+        assert rejected == () and totals.years == (1965,) and totals.co2_ppmv == (320.0,)
 
     @pytest.mark.parametrize("cells, column", [
         ("inf,1,1,1,316.0", "liquid"), ("1,nan,1,1,316.0", "gas"),
@@ -476,12 +480,6 @@ class TestEmissions:
         with pytest.raises(rc.ParseError) as err:
             rc.load_emissions(path)
         assert str(err.value) == f"{path}: line 4, column 'co2_ppmv': {co2!r} is not positive"
-
-    def test_non_positive_co2_of_an_excluded_year_loads(self, tmp_path):
-        path = tmp_path / "e.csv"
-        write_emissions(path, ["1964,Austria,2,2,2,2,-1", "1965,Austria,3,3,3,3,320.0"])
-        rejected, totals = rc.load_emissions(path, exclude_years=[1964])
-        assert rejected == () and totals.years == (1965,) and totals.co2_ppmv == (320.0,)
 
     def test_negative_emission_comes_before_the_co2_check(self, tmp_path):
         path = tmp_path / "e.csv"
