@@ -240,12 +240,12 @@ def load_emissions(path, exclude_years=()) -> tuple[tuple[tuple[int, str], ...],
     holds a (line number, reason) pair for each row with a negative
     quantity, which is left out rather than aborting the load. Rows of
     excluded years are parsed, so a malformed cell still raises, and
-    dropped before the duplicate, sign and finiteness checks. ParseError
-    names a duplicate (year, country), a malformed or non-finite cell (a
-    digit-group underscore, as in ``1_000``, is malformed), a co2_ppmv
-    that is not positive (it may be blank), an overflowing year total,
-    conflicting co2_ppmv within a year, bytes that do not decode as UTF-8
-    (a byte-order mark is allowed) or CSV the reader refuses.
+    dropped before every other check. ParseError names a duplicate
+    (year, country), a malformed or non-finite cell (a digit-group
+    underscore, as in ``1_000``, is malformed), a co2_ppmv that is not
+    positive (it may be blank), an overflowing year total, conflicting
+    co2_ppmv within a year, bytes that do not decode as UTF-8 (a
+    byte-order mark is allowed) or CSV the reader refuses.
     A line number is the file line a record starts on, which a quoted
     cell holding a line break can put past the record's index.
     """

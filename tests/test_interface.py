@@ -1093,7 +1093,7 @@ class TestInputChecks:
         assert not (tmp_path / "out.json").exists()
 
     def test_fit_non_positive_co2_names_the_year(self, tmp_path, capsys):
-        # the CSV names the year's place in the file: 2002 is on line 4
+        # the error names the bad row's place in the file: 2002 is on line 4
         rows = [f"{year},A,{year - 1999},2,3,4,{co2}"
                 for year, co2 in zip(range(2000, 2007), ["330", "", "-1", "331", "332", "333",
                                                          "334"])]
