@@ -17,7 +17,9 @@ to roundoff. Fits are checked against numpy lstsq: the
 coefficients, and every partial F against an explicit drop-one refit.
 The CSV text must equal a row-by-row ``repr`` rendering byte for byte,
 and the per-point functions, of the model and of its canonical frame,
-must reject a non-finite entry before any arithmetic can warn.
+must reject a non-finite entry before any arithmetic can warn; on
+points around graded frames, on the conic and off it, they must match
+bit for bit oracles that form each small product with ``@``.
 Marginal-rate ratios must not move when M is scaled anywhere from the
 smallest subnormal up to the largest bound a region accepts. The
 eigensolver and the default pairing must match, bit for bit, oracles
@@ -43,6 +45,7 @@ or raises the exception type it raises, and the report and model file of
 a graded model are those bytes.
 """
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -62,6 +65,7 @@ import rsmcanon.fitting as fitting
 import rsmcanon.linalg as linalg
 import rsmcanon.tradeoff as tradeoff
 from rsmcanon.modelio import json_text
+from rsmcanon.regions import CONTAINS_SLACK
 
 LAMBDA_SCALE = 1e-16
 unit = st.floats(-1.0, 1.0)
@@ -235,6 +239,70 @@ def test_evaluate_matrix_adds_as_numpy_does(model, data):
     x = data.draw(arrays(float, (model.n,), elements=st.floats(-1e6, 1e6)))
     b0, beta, b = model.intercept, model.linear, model.interaction.array
     assert rc.evaluate_matrix(model, x).hex() == float(b0 + beta @ x + x @ (b @ x)).hex()
+
+
+@st.composite
+def frame_points(draw):
+    """(model, canon, M, x, z) for a graded model under exponent 1 or
+    -2.376: canonical coordinates z up to 100 semiaxes in or out, or on
+    the conic |Y - Y0| = M, and the point x they map to."""
+    model, bound = draw(graded_model())
+    model = dataclasses.replace(model, exponent=draw(st.sampled_from([1.0, -2.376])))
+    canon = rc.canonicalize(model)
+    z = draw(arrays(float, (model.n,), elements=unit)) * np.sqrt(bound / np.abs(canon.lambdas))
+    fluct = abs(float(canon.lambdas @ (z * z)))
+    if draw(st.booleans()) and fluct > 0.0:
+        z = z * math.sqrt(bound / fluct)
+    else:
+        z = z * 10.0 ** draw(st.floats(-2.0, 2.0))
+    return model, canon, bound, canon.center + canon.axes @ z, z
+
+
+def matmul_oracles(model, canon, bound, x, z):
+    """The per-point functions' values, with each small product in the
+    ``@`` form that ``np.dot`` replaced in the package."""
+    b0, beta, b = model.intercept, model.linear, model.interaction.array
+    y = b0 + float(beta @ x) + float(x @ (b @ x))
+    zx = canon.axes.T @ (x - canon.center)
+    fluct = abs(float(canon.lambdas @ (zx * zx)))
+    h = math.sqrt(np.dot(x, x)) + math.sqrt(canon.center @ canon.center)
+    slack = CONTAINS_SLACK * float(np.abs(canon.lambdas * zx) @ (np.abs(zx) + h))
+    return {
+        "evaluate_matrix": lambda: y,
+        "predict_response": lambda: rc.model.invert_transform(y, model.exponent),
+        "gradient": lambda: beta + 2.0 * (b @ x),
+        "to_canonical": lambda: zx,
+        "contains": lambda: fluct <= bound * (1.0 + CONTAINS_SLACK) or fluct <= bound + slack,
+        "from_canonical": lambda: canon.center + canon.axes @ z,
+        "canonical_response": lambda: float(canon.y0 + canon.lambdas @ (z * z)),
+    }
+
+
+def outcome(fn):
+    """The bits of what ``fn()`` returns, or the message of its DomainError."""
+    try:
+        value = fn()
+    except rc.DomainError as exc:
+        return str(exc)
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return value.hex() if isinstance(value, float) else value
+
+
+@given(frame_points())
+def test_per_point_functions_bit_identical_to_matmul_oracles(case):
+    model, canon, bound, x, z = case
+    got = {
+        "evaluate_matrix": lambda: rc.evaluate_matrix(model, x),
+        "predict_response": lambda: rc.predict_response(model, x),
+        "gradient": lambda: rc.gradient(model, x),
+        "to_canonical": lambda: rc.to_canonical(canon, x),
+        "contains": lambda: rc.contains(canon, x, bound),
+        "from_canonical": lambda: rc.from_canonical(canon, z),
+        "canonical_response": lambda: rc.canonical_response(canon, z),
+    }
+    want = matmul_oracles(model, canon, bound, x, z)
+    assert {k: outcome(fn) for k, fn in got.items()} == {k: outcome(want[k]) for k in got}
 
 
 @given(base=st.one_of(dense_model(), graded_model().map(lambda case: case[0])), data=st.data())
