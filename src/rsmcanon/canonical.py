@@ -166,17 +166,17 @@ def with_center(canon: CanonicalModel, center) -> CanonicalModel:
 def to_canonical(canon: CanonicalModel, point) -> np.ndarray:
     """Canonical coordinates z_k = V_k' (X - center)."""
     x = check_point(point, canon.n)
-    return canon.axes.T @ (x - canon.center)
+    return np.dot(x - canon.center, canon.axes)
 
 
 def from_canonical(canon: CanonicalModel, z) -> np.ndarray:
     """Inverse map X = center + sum_k z_k V_k."""
     zz = check_point(z, canon.n, "canonical point")
-    return canon.center + canon.axes @ zz
+    return canon.center + np.dot(canon.axes, zz)
 
 
 def canonical_response(canon: CanonicalModel, z) -> float:
     """Transformed response y0 + sum_k lambda_k z_k**2."""
     zz = check_point(z, canon.n, "canonical point")
-    return float(canon.y0 + canon.lambdas @ (zz * zz))
+    return float(canon.y0 + np.dot(canon.lambdas, zz * zz))
 

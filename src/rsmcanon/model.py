@@ -173,9 +173,10 @@ def build_model(terms, intercept: float, exponent: float, names,
 def evaluate_matrix(model: QuadraticModel, point) -> float:
     """Transformed response in the matrix picture, b0 + beta'X + X'BX."""
     x = check_point(point, model.n)
-    # the same IEEE additions as on numpy scalars, at less cost per call
-    return (model.intercept + float(model.linear @ x)
-            + float(x @ (model.interaction.array @ x)))
+    # the same IEEE additions as on numpy scalars, at less cost per call;
+    # np.dot gives the bits of @ and dispatches faster on small arrays
+    return (model.intercept + float(np.dot(model.linear, x))
+            + float(np.dot(x, np.dot(model.interaction.array, x))))
 
 
 def evaluate_terms(model: QuadraticModel, point) -> float:
@@ -194,7 +195,7 @@ def evaluate_terms(model: QuadraticModel, point) -> float:
 def gradient(model: QuadraticModel, point) -> np.ndarray:
     """Gradient of the matrix picture: beta + 2 B X."""
     x = check_point(point, model.n)
-    return model.linear + 2.0 * (model.interaction.array @ x)
+    return model.linear + 2.0 * np.dot(model.interaction.array, x)
 
 
 def predict_response(model: QuadraticModel, point) -> float:

@@ -195,12 +195,12 @@ def contains(canon: CanonicalModel, point, bound: float) -> bool:
     """
     check_bound(bound)
     z = to_canonical(canon, point)
-    fluct = abs(float(canon.lambdas @ (z * z)))
+    fluct = abs(float(np.dot(canon.lambdas, z * z)))
     if fluct <= bound * (1.0 + CONTAINS_SLACK):
         return True
     x = np.asarray(point, dtype=float)  # as to_canonical checked it
-    h = math.sqrt(np.dot(x, x)) + math.sqrt(canon.center @ canon.center)
-    return fluct <= bound + CONTAINS_SLACK * float(np.abs(canon.lambdas * z) @ (np.abs(z) + h))
+    h = math.sqrt(np.dot(x, x)) + math.sqrt(np.dot(canon.center, canon.center))
+    return fluct <= bound + CONTAINS_SLACK * float(np.dot(np.abs(canon.lambdas * z), np.abs(z) + h))
 
 
 def max_intervals(region: RegionParametrization) -> list[tuple[str, float, float]]:

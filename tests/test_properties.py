@@ -244,17 +244,23 @@ def test_evaluate_matrix_adds_as_numpy_does(model, data):
 @st.composite
 def frame_points(draw):
     """(model, canon, M, x, z) for a graded model under exponent 1 or
-    -2.376: canonical coordinates z up to 100 semiaxes in or out, or on
-    the conic |Y - Y0| = M, and the point x they map to."""
+    -2.376: canonical coordinates z up to 100 semiaxes in or out, on the
+    conic |Y - Y0| = M, or outside it by up to twice the rounding slack that
+    ``contains`` allows, and the point x they map to."""
     model, bound = draw(graded_model())
     model = dataclasses.replace(model, exponent=draw(st.sampled_from([1.0, -2.376])))
     canon = rc.canonicalize(model)
     z = draw(arrays(float, (model.n,), elements=unit)) * np.sqrt(bound / np.abs(canon.lambdas))
     fluct = abs(float(canon.lambdas @ (z * z)))
-    if draw(st.booleans()) and fluct > 0.0:
-        z = z * math.sqrt(bound / fluct)
-    else:
+    where = draw(st.sampled_from(["off", "on", "slack"]))
+    if where == "off" or fluct == 0.0:
         z = z * 10.0 ** draw(st.floats(-2.0, 2.0))
+    else:
+        z = z * math.sqrt(bound / fluct)
+    if where == "slack":  # |x| is about |center| here
+        h = 2.0 * math.sqrt(canon.center @ canon.center)
+        slack = CONTAINS_SLACK * float(np.abs(canon.lambdas * z) @ (np.abs(z) + h))
+        z = z * math.sqrt(1.0 + draw(st.floats(0.0, 2.0)) * min(slack / bound, 0.25))
     return model, canon, bound, canon.center + canon.axes @ z, z
 
 
