@@ -82,10 +82,16 @@ def _parse_years(text: str) -> list[int]:
         raise InputError(f"--exclude-years: {exc}") from None
 
 
+def _parse_output(text: str) -> str:  # "" would put atomic_write's temporary file in ".."
+    if not text:
+        raise InputError("-o needs a path, not ''")
+    return text
+
+
 def _parse_model_path(text: str) -> str:  # "-" is stdout for every other command
     if text == "-":
         raise InputError("fit writes a model file: -o needs a path, not '-'")
-    return text
+    return _parse_output(text)
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -165,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--center", type=_parse_vector,
                          help="override region center, e.g. '534271,286155,8294.32,82045.4'")
     analyze.add_argument("--format", choices=("json", "text"), default="text")
-    analyze.add_argument("-o", "--output", help="write to file instead of stdout")
+    analyze.add_argument("-o", "--output", type=_parse_output, help="write to file instead of stdout")
     analyze.set_defaults(func=_cmd_analyze)
 
     regions = sub.add_parser("regions", help="emit boundary samples for one region as CSV")
@@ -176,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     regions.add_argument("--t-max", type=float, default=DEFAULT_T_MAX, dest="t_max",
                          help="hyperbola parameter range (default %(default)g)")
     regions.add_argument("--center", type=_parse_vector, help="override region center")
-    regions.add_argument("-o", "--output", help="CSV path (default stdout)")
+    regions.add_argument("-o", "--output", type=_parse_output, help="CSV path (default stdout)")
     regions.set_defaults(func=_cmd_regions)
 
     tradeoff = sub.add_parser("tradeoff", help="iso-response slopes and conversion rates")
     tradeoff.add_argument("model")
     tradeoff.add_argument("--pairing", type=_parse_pairs, help="pairs, e.g. '1,4;2,3' (default: auto)")
-    tradeoff.add_argument("-o", "--output")
+    tradeoff.add_argument("-o", "--output", type=_parse_output)
     tradeoff.set_defaults(func=_cmd_tradeoff)
 
     fit = sub.add_parser("fit", help="fit a model to an emissions CSV")

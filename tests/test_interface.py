@@ -760,6 +760,13 @@ class TestCli:
         assert main(["predict", model_path, "--at", "1e200,0,0,0"]) == 3
         assert "overflow encountered" in one_error_line(capsys, "NumericalError")
 
+    def test_predict_overflow_past_the_largest_float_is_numerical_error(self, model_path, capsys):
+        # the entries are finite though their sum is not; numpy names its
+        # routine after the wording, so the test stops before it
+        assert main(["predict", model_path, "--at", "1e308,1e308,1e308,1e308"]) == 3
+        assert one_error_line(capsys, "NumericalError").startswith(
+            "rsmcanon: NumericalError: overflow encountered in ")
+
     def test_fit_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         rows = []
@@ -1127,6 +1134,24 @@ class TestInputChecks:
         err = one_error_line(capsys, "InputError")
         assert "fit writes a model file" in err and "missing.csv" not in err
         assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("command", [["analyze", "eu.json"],
+                                         ["regions", "eu.json", "--pair", "1,3"],
+                                         ["tradeoff", "eu.json"],
+                                         ["fit", "emissions.csv", "--terms", "Li,Ga",
+                                          "--exponent", "-2.376"]])
+    def test_empty_output_path_is_refused(self, tmp_path, capsys, monkeypatch, eu_model,
+                                          command):
+        # a temporary file beside '' would land in the working directory's parent
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        rc.save_model(eu_model, work / "eu.json")
+        write_emissions(work / "emissions.csv", noisy_emissions_rows())
+        assert main([*command, "-o", ""]) == 2
+        assert one_error_line(capsys, "InputError") == "rsmcanon: InputError: -o needs a path, not ''\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
+        assert sorted(p.name for p in work.iterdir()) == ["emissions.csv", "eu.json"]
 
     def test_integer_scalars_render_as_floats(self, eu_model):
         model = rc.build_model(eu_model.terms, intercept=1, exponent=-2.376, names=eu_model.names)
