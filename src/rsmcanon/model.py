@@ -173,8 +173,7 @@ def build_model(terms, intercept: float, exponent: float, names,
 def evaluate_matrix(model: QuadraticModel, point) -> float:
     """Transformed response in the matrix picture, b0 + beta'X + X'BX."""
     x = check_point(point, model.n)
-    # the same IEEE additions as on numpy scalars, at less cost per call;
-    # np.dot gives the bits of @ and dispatches faster on small arrays
+    # the same IEEE operations as @ on numpy scalars, at less cost per call
     return (model.intercept + float(np.dot(model.linear, x))
             + float(np.dot(x, np.dot(model.interaction.array, x))))
 
