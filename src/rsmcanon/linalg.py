@@ -78,8 +78,7 @@ def check_point(point, n: int, what: str = "point") -> np.ndarray:
     x = np.asarray(point, dtype=float)
     if x.shape != (n,):
         raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({n},)")
-    entries = x.tolist()  # a finite sum has finite terms; one that overflows may too
-    if not math.isfinite(sum(entries)) and not all(map(math.isfinite, entries)):
+    if not all(map(math.isfinite, x.tolist())):
         raise DimensionMismatch(f"{what} entries must be finite")
     return x
 
