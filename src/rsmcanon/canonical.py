@@ -18,8 +18,10 @@ undefined. ``canonicalize``, ``classify`` and ``check_pair`` apply it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +64,8 @@ class CanonicalModel:
     descending |lambda| alongside ``lambdas``. ``y0`` is the
     transformed response at the center. ``kind`` is the label
     ``classify`` derives from ``lambdas``, so it cannot contradict them.
+    ``center``, ``lambdas`` and ``axes`` are kept as read-only float
+    copies, whatever array-likes they were given as.
     """
 
     names: tuple[str, ...]
@@ -70,9 +74,25 @@ class CanonicalModel:
     lambdas: np.ndarray
     axes: np.ndarray
 
+    def __post_init__(self) -> None:
+        for field in ("center", "lambdas", "axes"):
+            value = np.array(getattr(self, field), dtype=float)  # a copy, in the same layout
+            value.setflags(write=False)
+            object.__setattr__(self, field, value)
+
     @property
     def n(self) -> int:
         return len(self.names)
+
+    # computed on first use, not in __post_init__: an overflowing center.center
+    # warns in the call that needs it, as the membership test always has
+    @cached_property
+    def abs_lambdas(self) -> np.ndarray:
+        return np.abs(self.lambdas)
+
+    @cached_property
+    def center_norm(self) -> float:
+        return math.sqrt(self.center.dot(self.center))
 
     @property
     def kind(self) -> str:
@@ -117,7 +137,6 @@ def canonicalize(model: QuadraticModel) -> CanonicalModel:
     w = solve(model.interaction, model.linear)  # w = B^-1 beta
     center = -0.5 * w
     y0 = model.intercept - 0.25 * float(model.linear @ w)
-    center.setflags(write=False)
     return CanonicalModel(
         names=model.names,
         center=center,
@@ -158,25 +177,23 @@ def with_center(canon: CanonicalModel, center) -> CanonicalModel:
     origin while keeping eigenvalues and axes. The center passes
     ``linalg.check_point``, as do the points and canonical coordinates below.
     """
-    c = check_point(center, canon.n, "center").copy()
-    c.setflags(write=False)
-    return replace(canon, center=c)
+    return replace(canon, center=check_point(center, canon.n, "center"))
 
 
 def to_canonical(canon: CanonicalModel, point) -> np.ndarray:
     """Canonical coordinates z_k = V_k' (X - center)."""
     x = check_point(point, canon.n)
-    return np.dot(x - canon.center, canon.axes)
+    return (x - canon.center).dot(canon.axes)
 
 
 def from_canonical(canon: CanonicalModel, z) -> np.ndarray:
     """Inverse map X = center + sum_k z_k V_k."""
     zz = check_point(z, canon.n, "canonical point")
-    return canon.center + np.dot(canon.axes, zz)
+    return canon.center + canon.axes.dot(zz)
 
 
 def canonical_response(canon: CanonicalModel, z) -> float:
     """Transformed response y0 + sum_k lambda_k z_k**2."""
     zz = check_point(z, canon.n, "canonical point")
-    return float(canon.y0 + np.dot(canon.lambdas, zz * zz))
+    return float(canon.y0 + canon.lambdas.dot(zz * zz))
 

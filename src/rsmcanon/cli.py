@@ -220,7 +220,9 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except FloatingPointError as exc:  # numpy arithmetic that no library check caught
-        sys.stderr.write(f"rsmcanon: NumericalError: {exc}\n")
+        what = "overflowed past the largest float" if str(exc).startswith("overflow") else \
+            "gave an undefined result"
+        sys.stderr.write(f"rsmcanon: NumericalError: {args.command}: arithmetic {what}\n")
         return NumericalError.exit_code
     except RsmError as exc:
         # a stage-tagged message already starts with "[stage] "

@@ -72,11 +72,13 @@ def atomic_write(path, text: str) -> None:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the path asked for alone
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

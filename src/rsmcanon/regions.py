@@ -195,12 +195,13 @@ def contains(canon: CanonicalModel, point, bound: float) -> bool:
     """
     check_bound(bound)
     z = to_canonical(canon, point)
-    fluct = abs(float(np.dot(canon.lambdas, z * z)))
+    fluct = abs(float(canon.lambdas.dot(z * z)))
     if fluct <= bound * (1.0 + CONTAINS_SLACK):
         return True
     x = np.asarray(point, dtype=float)  # as to_canonical checked it
-    h = math.sqrt(np.dot(x, x)) + math.sqrt(np.dot(canon.center, canon.center))
-    return fluct <= bound + CONTAINS_SLACK * float(np.dot(np.abs(canon.lambdas * z), np.abs(z) + h))
+    h = math.sqrt(x.dot(x)) + canon.center_norm
+    a = np.abs(z)  # |lambda_k z_k| is |lambda_k| |z_k| to the bit
+    return fluct <= bound + CONTAINS_SLACK * float((canon.abs_lambdas * a).dot(a + h))
 
 
 def max_intervals(region: RegionParametrization) -> list[tuple[str, float, float]]:

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import inspect
 import io
 import json
@@ -757,11 +758,11 @@ class TestCli:
         assert capsys.readouterr().out.startswith("307.19")
 
     def test_predict_overflow_is_numerical_error(self, model_path, capsys):
-        # numpy names its routine after the wording, so the test stops before it
+        # the message names the command, not the numpy routine that overflowed
         for at in ("1e200,0,0,0", "1e308,1e308,1e308,1e308"):
             assert main(["predict", model_path, "--at", at]) == 3
-            assert one_error_line(capsys, "NumericalError").startswith(
-                "rsmcanon: NumericalError: overflow encountered in ")
+            assert one_error_line(capsys, "NumericalError") == (
+                "rsmcanon: NumericalError: predict: arithmetic overflowed past the largest float\n")
 
     def test_fit_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
@@ -1203,6 +1204,16 @@ class TestAtomicWrite:
             atomic_write(tmp_path / "out.csv", "a,b\n")
         left = [p.name for p in tmp_path.iterdir()]
         assert len(left) == unlink_fails and all(n.startswith(".tmp-") for n in left)
+
+    def test_cli_output_onto_a_directory_names_the_directory(self, tmp_path, capsys, monkeypatch,
+                                                             eu_model):
+        monkeypatch.chdir(tmp_path)
+        rc.save_model(eu_model, tmp_path / "eu.json")
+        (tmp_path / "adir").mkdir()
+        assert main(["tradeoff", "eu.json", "-o", "adir"]) == 2
+        assert capsys.readouterr() == ("", f"rsmcanon: [Errno {errno.EISDIR}] "
+                                           f"{os.strerror(errno.EISDIR)}: 'adir'\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "eu.json"]
 
     def test_symlink_is_replaced_by_a_file(self, tmp_path):
         target, path = tmp_path / "target.csv", tmp_path / "out.csv"

@@ -246,10 +246,16 @@ def frame_points(draw):
     """(model, canon, M, x, z) for a graded model under exponent 1 or
     -2.376: canonical coordinates z up to 100 semiaxes in or out, on the
     conic |Y - Y0| = M, or outside it by up to twice the rounding slack that
-    ``contains`` allows, and the point x they map to."""
+    ``contains`` allows, and the point x they map to. The frame is the
+    model's, or that frame moved by ``with_center`` to a drawn point with
+    each entry of the stationary point scaled by 0 to 2."""
     model, bound = draw(graded_model())
     model = dataclasses.replace(model, exponent=draw(st.sampled_from([1.0, -2.376])))
     canon = rc.canonicalize(model)
+    if draw(st.booleans()):
+        canon.center_norm  # the moved frame must not inherit the constants cached here
+        canon = rc.with_center(canon, canon.center * draw(
+            arrays(float, (model.n,), elements=st.floats(0.0, 2.0))))
     z = draw(arrays(float, (model.n,), elements=unit)) * np.sqrt(bound / np.abs(canon.lambdas))
     fluct = abs(float(canon.lambdas @ (z * z)))
     where = draw(st.sampled_from(["off", "on", "slack"]))
@@ -266,7 +272,7 @@ def frame_points(draw):
 
 def matmul_oracles(model, canon, bound, x, z):
     """The per-point functions' values, with each small product in the
-    ``@`` form that ``np.dot`` replaced in the package."""
+    ``@`` form that ``ndarray.dot`` replaced in the package."""
     b0, beta, b = model.intercept, model.linear, model.interaction.array
     y = b0 + float(beta @ x) + float(x @ (b @ x))
     zx = canon.axes.T @ (x - canon.center)
@@ -298,17 +304,33 @@ def outcome(fn):
 @given(frame_points())
 def test_per_point_functions_bit_identical_to_matmul_oracles(case):
     model, canon, bound, x, z = case
-    got = {
-        "evaluate_matrix": lambda: rc.evaluate_matrix(model, x),
-        "predict_response": lambda: rc.predict_response(model, x),
-        "gradient": lambda: rc.gradient(model, x),
-        "to_canonical": lambda: rc.to_canonical(canon, x),
-        "contains": lambda: rc.contains(canon, x, bound),
-        "from_canonical": lambda: rc.from_canonical(canon, z),
-        "canonical_response": lambda: rc.canonical_response(canon, z),
-    }
-    want = matmul_oracles(model, canon, bound, x, z)
-    assert {k: outcome(fn) for k, fn in got.items()} == {k: outcome(want[k]) for k in got}
+    want = {k: outcome(fn) for k, fn in matmul_oracles(model, canon, bound, x, z).items()}
+    listed = rc.CanonicalModel(canon.names, canon.center.tolist(), canon.y0,
+                               canon.lambdas.tolist(), canon.axes.tolist())
+    # the second pass over the frame reads the constants the first one cached
+    for frame in (canon, canon, listed):
+        got = {
+            "evaluate_matrix": lambda: rc.evaluate_matrix(model, x),
+            "predict_response": lambda: rc.predict_response(model, x),
+            "gradient": lambda: rc.gradient(model, x),
+            "to_canonical": lambda: rc.to_canonical(frame, x),
+            "contains": lambda: rc.contains(frame, x, bound),
+            "from_canonical": lambda: rc.from_canonical(frame, z),
+            "canonical_response": lambda: rc.canonical_response(frame, z),
+        }
+        assert {k: outcome(fn) for k, fn in got.items()} == want
+        assert frame.center_norm == math.sqrt(frame.center @ frame.center)
+        assert frame.abs_lambdas.tobytes() == np.abs(frame.lambdas).tobytes()
+
+
+def test_contains_raises_on_every_call_while_center_center_overflows():
+    # |center|^2 = 2e308 overflows; x.x, z*z and lambda.z^2 do not
+    far = rc.CanonicalModel(("x", "y"), [1e154, 1e154], 0.0, [1e-300, 1e-300], np.eye(2))
+    for _ in range(3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="^overflow encountered in "):
+                rc.contains(far, [0.0, 0.0], 1e-8)
 
 
 @given(base=st.one_of(dense_model(), graded_model().map(lambda case: case[0])), data=st.data())
