@@ -84,14 +84,17 @@ class CanonicalModel:
     def n(self) -> int:
         return len(self.names)
 
-    # computed on first use, not in __post_init__: an overflowing center.center
-    # warns in the call that needs it, as the membership test always has
     @cached_property
     def abs_lambdas(self) -> np.ndarray:
-        return np.abs(self.lambdas)
+        """|lambda_k| as a read-only array, computed once per frame."""
+        lam = np.abs(self.lambdas)
+        lam.setflags(write=False)
+        return lam
 
     @cached_property
     def center_norm(self) -> float:
+        """|center|, computed on first use rather than at construction, so
+        that a center whose square overflows warns in the call that needs it."""
         return math.sqrt(self.center.dot(self.center))
 
     @property

@@ -220,8 +220,8 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except FloatingPointError as exc:  # numpy arithmetic that no library check caught
-        what = "overflowed past the largest float" if str(exc).startswith("overflow") else \
-            "gave an undefined result"
+        what = ("overflowed past the largest float" if str(exc).startswith("overflow")
+                else "gave an undefined result")
         sys.stderr.write(f"rsmcanon: NumericalError: {args.command}: arithmetic {what}\n")
         return NumericalError.exit_code
     except RsmError as exc:

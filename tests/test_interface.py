@@ -764,6 +764,12 @@ class TestCli:
             assert one_error_line(capsys, "NumericalError") == (
                 "rsmcanon: NumericalError: predict: arithmetic overflowed past the largest float\n")
 
+    def test_invalid_arithmetic_is_numerical_error(self, model_path, capsys, monkeypatch):
+        monkeypatch.setattr(rc.cli, "predict_response", lambda model, at: np.sqrt(-at[0]))
+        assert main(["predict", model_path, "--at", "1,0,0,0"]) == 3
+        assert one_error_line(capsys, "NumericalError") == (
+            "rsmcanon: NumericalError: predict: arithmetic gave an undefined result\n")
+
     def test_fit_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         rows = []
