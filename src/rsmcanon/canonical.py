@@ -91,11 +91,17 @@ class CanonicalModel:
         lam.setflags(write=False)
         return lam
 
-    @cached_property
+    @property
     def center_norm(self) -> float:
-        """|center|, computed on first use rather than at construction, so
-        that a center whose square overflows warns in the call that needs it."""
-        return math.sqrt(self.center.dot(self.center))
+        """|center|, computed on first use rather than at construction and
+        cached only when finite, so that a center whose square overflows
+        warns in every call that needs it."""
+        norm = self.__dict__.get("_center_norm")
+        if norm is None:
+            norm = math.sqrt(self.center.dot(self.center))
+            if math.isfinite(norm):
+                self.__dict__["_center_norm"] = norm
+        return norm
 
     @property
     def kind(self) -> str:

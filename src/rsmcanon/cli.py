@@ -9,6 +9,11 @@ numerical failures, numpy overflow and invalid operations included.
 argparse converts every argument, each number by ``modelio.strict_number``;
 commands call the library and write the text it renders, formatting no
 numbers themselves (``predict`` writes a repr).
+
+Each command imports only what it runs. A module that only some
+commands use (``report`` with ``tradeoff``, ``fitting``) is imported
+inside those commands; the top-level imports are what every command
+loads anyway, ``regions`` among them for the parser's defaults.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 from . import __version__
 from .canonical import canonicalize, with_center
 from .errors import DimensionMismatch, InputError, NumericalError, RsmError
-from .fitting import Dataset, ols_fit
 from .model import ModelTerm, check_terms, predict_response
 from .modelio import (
     EMISSIONS_NAMES,
@@ -35,7 +39,6 @@ from .modelio import (
     strict_number,
 )
 from .regions import DEFAULT_BOUND, DEFAULT_T_MAX, region
-from .report import run_analysis
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -102,6 +105,8 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    from .report import run_analysis
+
     model = load_model(args.model)
     report = run_analysis(model, pairs=args.pairs, bound=args.bound_M, pairing=args.pairing,
                           center=args.center, source_digest=file_digest(args.model))
@@ -120,6 +125,8 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_tradeoff(args) -> int:
+    from .report import run_analysis
+
     model = load_model(args.model)
     lines = run_analysis(model, pairs=[], pairing=args.pairing).tradeoff_lines(with_bound=True)
     _write_or_print("".join(f"{line}\n" for line in lines), args.output)
@@ -127,6 +134,8 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .fitting import Dataset, ols_fit
+
     rejected, totals = load_emissions(args.data, exclude_years=args.exclude_years)
     kept = [k for k, co2 in enumerate(totals.co2_ppmv) if co2 is not None]
     if not kept:
@@ -169,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--pairing", type=_parse_pairs,
                          help="trade pairs, e.g. '1,4;2,3' (default: auto)")
     analyze.add_argument("--center", type=_parse_vector,
-                         help="override region center, e.g. '534271,286155,8294.32,82045.4'")
+                         help="override region center, e.g. '534271,286155,8294.32,82045.4';"
+                         " a leading minus needs the = form, --center=-1,0,0,0")
     analyze.add_argument("--format", choices=("json", "text"), default="text")
     analyze.add_argument("-o", "--output", type=_parse_output, help="write to file instead of stdout")
     analyze.set_defaults(func=_cmd_analyze)
@@ -181,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     regions.add_argument("--samples", type=int, default=360)
     regions.add_argument("--t-max", type=float, default=DEFAULT_T_MAX, dest="t_max",
                          help="hyperbola parameter range (default %(default)g)")
-    regions.add_argument("--center", type=_parse_vector, help="override region center")
+    regions.add_argument("--center", type=_parse_vector,
+                         help="override region center; a leading minus needs the = form,"
+                         " --center=-1,0,0,0")
     regions.add_argument("-o", "--output", type=_parse_output, help="CSV path (default stdout)")
     regions.set_defaults(func=_cmd_regions)
 
@@ -205,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict", help="natural-units response at a point")
     predict.add_argument("model")
     predict.add_argument("--at", type=_parse_vector, required=True,
-                         help="point, e.g. '534271,286155,8294.32,82045.4'")
+                         help="point, e.g. '534271,286155,8294.32,82045.4';"
+                         " a leading minus needs the = form, --at=-1,0,0,0")
     predict.set_defaults(func=_cmd_predict)
 
     for command in sub.choices.values():  # argparse's own int and float, under the same rule

@@ -19,7 +19,6 @@ the output is left in place and only touched.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -213,6 +212,8 @@ def load_bundled_eu_model() -> QuadraticModel:
 
 
 def file_digest(path) -> str:
+    import hashlib  # only analyze needs it, and it is slow to import
+
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 

@@ -537,6 +537,37 @@ def test_star_import_binds_exactly_all():
     assert "__version__" in rc.__all__
 
 
+SUBMODULES = {f"rsmcanon.{name}" for name in ("canonical", "errors", "fitting", "linalg", "model",
+                                               "modelio", "regions", "report", "tradeoff")}
+
+
+def loaded_modules(code, *args):
+    """The rsmcanon modules a fresh interpreter has loaded after running
+    ``code``, which sees ``args`` as ``sys.argv[1:]``. Only package names
+    are compared: the standard-library set depends on the environment."""
+    code += "\nprint(*(m for m in sys.modules if m.split('.')[0] == 'rsmcanon'))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", "import sys\n" + code, *args],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True)
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def test_bare_import_loads_no_submodule_and_first_access_loads_all():
+    assert loaded_modules("import rsmcanon") == {"rsmcanon"}
+    code = ("import rsmcanon\n"
+            "assert rsmcanon.canonicalize is sys.modules['rsmcanon.canonical'].canonicalize")
+    assert loaded_modules(code) == {"rsmcanon", *SUBMODULES}
+
+
+def test_star_import_in_a_fresh_interpreter_binds_exactly_all():
+    code = ("namespace = {}\n"
+            "exec('from rsmcanon import *', namespace)\n"
+            "import rsmcanon\n"
+            "assert set(namespace) - {'__builtins__'} == set(rsmcanon.__all__)")
+    assert loaded_modules(code) == {"rsmcanon", *SUBMODULES}
+
+
 class TestReport:
     def test_deterministic_bytes(self, eu_model):
         first = rc.run_analysis(eu_model, center=EU_WORKED_CENTER)
@@ -746,6 +777,24 @@ class TestCli:
         assert "saddle" in run.stdout
         assert run.stderr == "False\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "regions", "tradeoff", "fit", "predict"])
+    def test_each_command_imports_only_what_it_runs(self, tmp_path, command):
+        model = str(rc.bundled_eu_model_path())
+        data = tmp_path / "emissions.csv"
+        write_emissions(data, noisy_emissions_rows())
+        argv = {"analyze": [model, "-o", str(tmp_path / "a.txt")],
+                "regions": [model, "--pair", "1,3", "--samples", "3", "-o", str(tmp_path / "r.csv")],
+                "tradeoff": [model, "-o", str(tmp_path / "t.txt")],
+                "fit": [str(data), "--terms", "Li,Ga", "--exponent", "1.0",
+                        "-o", str(tmp_path / "fit.json")],
+                "predict": [model, "--at", "0,0,0,0"]}[command]
+        loaded = loaded_modules("from rsmcanon.cli import main\n"
+                                "assert main(sys.argv[1:]) == 0", command, *argv)
+        assert "rsmcanon.cli" in loaded
+        assert ("rsmcanon.fitting" in loaded) == (command == "fit")
+        if command in ("regions", "fit", "predict"):
+            assert not loaded & {"rsmcanon.report", "rsmcanon.tradeoff"}
+
     @pytest.mark.parametrize("pairing", ["0,1", "5,1"])
     def test_tradeoff_axis_out_of_range_is_input_error(self, model_path, capsys, pairing):
         assert main(["tradeoff", model_path, "--pairing", pairing]) == 2
@@ -756,6 +805,19 @@ class TestCli:
     def test_predict(self, model_path, capsys):
         assert main(["predict", model_path, "--at", "0,0,0,0"]) == 0
         assert capsys.readouterr().out.startswith("307.19")
+
+    def test_predict_takes_a_negative_first_coordinate_after_equals(self, model_path, capsys):
+        # "--at -1e5,..." would read the value as an option flag
+        assert main(["predict", model_path, "--at=-1e5,0,0,0"]) == 0
+        want = rc.predict_response(rc.load_model(model_path), np.array([-1e5, 0.0, 0.0, 0.0]))
+        assert capsys.readouterr().out == f"{want!r}\n"
+
+    @pytest.mark.parametrize("command, option", [("predict", "--at"), ("analyze", "--center"),
+                                                 ("regions", "--center")])
+    def test_help_shows_the_equals_form(self, capsys, command, option):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"{option}=-1,0,0,0" in capsys.readouterr().out
 
     def test_predict_overflow_is_numerical_error(self, model_path, capsys):
         # the message names the command, not the numpy routine that overflowed

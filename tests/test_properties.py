@@ -326,6 +326,9 @@ def test_per_point_functions_bit_identical_to_matmul_oracles(case):
 def test_contains_raises_on_every_call_while_center_center_overflows():
     # |center|^2 = 2e308 overflows; x.x, z*z and lambda.z^2 do not
     far = rc.CanonicalModel(("x", "y"), [1e154, 1e154], 0.0, [1e-300, 1e-300], np.eye(2))
+    with warnings.catch_warnings():  # a first call that ignores the warning caches nothing
+        warnings.simplefilter("ignore")
+        rc.contains(far, [0.0, 0.0], 1e-8)
     for _ in range(3):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
