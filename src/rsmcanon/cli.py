@@ -11,9 +11,9 @@ commands call the library and write the text it renders, formatting no
 numbers themselves (``predict`` writes a repr).
 
 Each command imports only what it runs. A module that only some
-commands use (``report`` with ``tradeoff``, ``fitting``) is imported
-inside those commands; the top-level imports are what every command
-loads anyway, ``regions`` among them for the parser's defaults.
+commands use (``report``, which brings ``tradeoff``, and ``fitting``) is
+imported inside those commands; the top-level imports are what every
+command loads anyway, ``regions`` among them for the parser's defaults.
 """
 
 from __future__ import annotations
