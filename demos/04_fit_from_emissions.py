@@ -2,11 +2,12 @@
 
 Builds a synthetic per-country emissions CSV whose yearly totals
 follow a known quadratic law, with 0.1% seeded multiplicative noise on
-CO2, ingests it (excluding one year, as real ingestion would drop
-incomplete records), fits on the transformed scale, and ranks terms by
-partial F. The fitted coefficients land close to the generating ones,
-and the F values measure each term against that noise. On noise-free
-data the residual is rounding error and F only its reciprocal.
+CO2, then ingests and fits it in one call, ``fit_emissions`` (excluding
+one year, as real ingestion would drop incomplete records): a fit on
+the transformed scale with terms ranked by partial F. The fitted
+coefficients land close to the generating ones, and the F values
+measure each term against that noise. On noise-free data the residual
+is rounding error and F only its reciprocal.
 
 Run:  python3 demos/04_fit_from_emissions.py
 """
@@ -45,13 +46,10 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(csv_path, "w") as handle:
         handle.write("\n".join(rows) + "\n")
 
-    rejected, totals = rc.load_emissions(csv_path, exclude_years=[1964])
-    print(f"Ingested {len(totals.years)} years (1964 excluded, {len(rejected)} rows rejected)")
-
-    dataset = rc.Dataset(X=totals.values, y=np.array(totals.co2_ppmv, dtype=float),
-                         names=EMISSIONS_NAMES)
     terms = [(0,), (1,), (1, 3)]  # Li, Ga, Ga:Bu
-    result = rc.ols_fit(dataset, terms, exponent=EXPONENT, response_label="CO2 ppmv")
+    result = rc.fit_emissions(csv_path, terms, EXPONENT, exclude_years=[1964])
+    print(f"Ingested {len(result.years)} years (1964 excluded, "
+          f"{len(result.rejected)} rows rejected)")
 
     print(f"SSE on the transformed scale: {result.sse:.3e}")
     print()

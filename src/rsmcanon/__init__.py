@@ -28,7 +28,8 @@ _PUBLIC = {
                "NonPositiveBound", "NotTwoVariable", "NumericalError", "ParseError",
                "RankDeficient", "RsmError", "SameSignPair", "SchemaError", "SingularMatrix",
                "TooFewRows", "WrongKind"),
-    "fitting": ("Dataset", "FitResult", "TermStat", "f_rank", "ols_fit", "transform_response"),
+    "fitting": ("Dataset", "FitResult", "TermStat", "f_rank", "fit_emissions", "ols_fit",
+                "transform_response"),
     "linalg": ("DEFAULT_COND_TOL", "EigenDecomposition", "SymMatrix", "jacobi_eigen", "solve"),
     "model": ("ModelTerm", "QuadraticModel", "build_model", "evaluate_matrix", "evaluate_terms",
               "gradient", "predict_response"),

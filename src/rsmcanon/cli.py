@@ -7,8 +7,8 @@ response). Exit status: 0 on success, 2 for input errors, 3 for
 numerical failures, numpy overflow and invalid operations included.
 
 argparse converts every argument, each number by ``modelio.strict_number``;
-commands call the library and write the text it renders, formatting no
-numbers themselves (``predict`` writes a repr).
+commands call the library (``fit`` only ``fitting.fit_emissions``) and
+write the text it renders, formatting no numbers (``predict`` writes a repr).
 
 Each command imports only what it runs. A module that only some
 commands use (``report``, which brings ``tradeoff``, and ``fitting``) is
@@ -33,7 +33,6 @@ from .modelio import (
     atomic_write,
     emit_plot_csv,
     file_digest,
-    load_emissions,
     load_model,
     save_model,
     strict_number,
@@ -134,24 +133,11 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .fitting import Dataset, ols_fit
+    from .fitting import fit_emissions
 
-    rejected, totals = load_emissions(args.data, exclude_years=args.exclude_years)
-    kept = [k for k, co2 in enumerate(totals.co2_ppmv) if co2 is not None]
-    if not kept:
-        raise InputError(f"{args.data}: no rows carry a co2_ppmv response")
-    dataset = Dataset(
-        X=totals.values[kept],
-        y=np.array([totals.co2_ppmv[k] for k in kept]),
-        names=EMISSIONS_NAMES,
-    )
-    result = ols_fit(dataset, args.terms, args.exponent, response_label="CO2 ppmv")
+    result = fit_emissions(args.data, args.terms, args.exponent, args.exclude_years)
     save_model(result.model, args.output)
-    dropped = len(totals.years) - len(kept)
-    sys.stdout.write(f"fit over {len(kept)} years"
-                     + (f" ({dropped} without co2_ppmv dropped)" if dropped else "")
-                     + (f"; {len(rejected)} rows rejected" if rejected else "")
-                     + "; " + result.to_text() + f"model written to {args.output}\n")
+    sys.stdout.write(result.to_text() + f"model written to {args.output}\n")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Least-squares fitting of second-order models on the transformed scale.
+"""Least-squares fitting of second-order models on the transformed scale,
+and the one path from an emissions CSV to a fit, ``fit_emissions``.
 
 Takes a dataset of attributable-variable rows with a natural-units
 response, applies the power transform, and solves least squares
@@ -18,13 +19,14 @@ falling back to ridge, so rankings stay deterministic and comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, RankDeficient, TooFewRows
+from .errors import DimensionMismatch, DomainError, InputError, RankDeficient, TooFewRows
 from .linalg import DEFAULT_COND_TOL, SymMatrix, jacobi_eigen, small_axes
 from .model import ModelTerm, QuadraticModel, build_model, check_terms, reciprocal_exponent
+from .modelio import EMISSIONS_NAMES, load_emissions
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,12 +73,20 @@ class FitResult:
     sse: float
     term_stats: tuple[TermStat, ...]
     ranking: tuple[str, ...]
+    years: tuple[int, ...] | None = None  # None unless fit_emissions fitted a CSV
+    dropped_years: tuple[int, ...] = ()
+    rejected: tuple[tuple[int, str], ...] = ()
 
     def to_text(self) -> str:
         """``SSE = ...``, then one row per term in ranking order: rank,
-        label, coefficient and partial F (``inf`` for an exact fit)."""
+        label, coefficient and partial F (``inf`` for an exact fit). A CSV fit
+        starts ``fit over N years[ (D without co2_ppmv dropped)][; R rows rejected]; ``."""
         by_label = {s.label: s for s in self.term_stats}
-        out = [f"SSE = {self.sse:.6g}", "rank term        coefficient      F"]
+        head = "" if self.years is None else (
+            f"fit over {len(self.years)} years"
+            + (f" ({len(self.dropped_years)} without co2_ppmv dropped)" if self.dropped_years else "")
+            + (f"; {len(self.rejected)} rows rejected" if self.rejected else "") + "; ")
+        out = [f"{head}SSE = {self.sse:.6g}", "rank term        coefficient      F"]
         for rank, label in enumerate(self.ranking, start=1):
             s = by_label[label]
             out.append(f"{rank:>4} {s.label:<11} {s.coefficient:>+12.6g} {s.f_value:>10.4g}")
@@ -229,6 +239,24 @@ def ols_fit(d: Dataset, terms, exponent: float,
         term_stats=tuple(stats),
         ranking=tuple(s.label for s in sorted(stats, key=_rank_key)),
     )
+
+
+def fit_emissions(path, terms, exponent: float, exclude_years=()) -> FitResult:
+    """``ols_fit`` of ``terms`` to the yearly totals that ``load_emissions``
+    reads from ``path`` without ``exclude_years``, over the years that carry
+    co2_ppmv; InputError when no year is left or none left carries co2_ppmv."""
+    rejected, totals = load_emissions(path, exclude_years=exclude_years)
+    if not totals.years:
+        raise InputError(f"{path}: no year left to fit; years excluded: "
+                         f"{sorted(map(int, exclude_years))}, rows rejected: {len(rejected)}")
+    kept = [k for k, co2 in enumerate(totals.co2_ppmv) if co2 is not None]
+    if not kept:
+        raise InputError(f"{path}: no rows carry a co2_ppmv response")
+    data = Dataset(totals.values[kept], np.array([totals.co2_ppmv[k] for k in kept]),
+                   EMISSIONS_NAMES)
+    years = tuple(totals.years[k] for k in kept)
+    return replace(ols_fit(data, terms, exponent, response_label="CO2 ppmv"), years=years,
+                   dropped_years=tuple(sorted({*totals.years} - {*years})), rejected=rejected)
 
 
 def f_rank(d: Dataset, result: FitResult) -> tuple[TermStat, ...]:

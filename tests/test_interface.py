@@ -881,12 +881,11 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["fit", "emissions.csv", "--terms", "Li,Ga,Fl,Li:Li,Ga:Bu,Bu:Bu,Li:Fl",
                      "--exponent", "-2.376", "--exclude-years", "1964", "-o", "fit.json"]) == 0
-        _, totals = rc.load_emissions("emissions.csv", exclude_years=[1964])
-        data = rc.Dataset(X=totals.values, y=np.array(totals.co2_ppmv), names=EMISSIONS_NAMES)
-        result = rc.ols_fit(data, [(0,), (1,), (2,), (0, 0), (1, 3), (3, 3), (0, 2)], -2.376,
-                            response_label="CO2 ppmv")
-        assert capsys.readouterr().out == (
-            "fit over 29 years; " + result.to_text() + "model written to fit.json\n")
+        result = rc.fit_emissions("emissions.csv",
+                                  [(0,), (1,), (2,), (0, 0), (1, 3), (3, 3), (0, 2)], -2.376,
+                                  exclude_years=[1964])
+        assert result.to_text().startswith("fit over 29 years; SSE = ")
+        assert capsys.readouterr().out == result.to_text() + "model written to fit.json\n"
 
     def test_fit_summary_counts_dropped_years_and_rejected_rows(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -899,6 +898,23 @@ class TestCli:
                      "--exponent", "-2.376", "--exclude-years", "1964", "-o", "fit.json"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == (
             "fit over 29 years (1 without co2_ppmv dropped); 1 rows rejected; SSE = 4.01073e-16")
+
+    @pytest.mark.parametrize("rows, exclude, message", [
+        (["2000,A,1,2,3,4,300", "2001,A,2,3,4,5,310"], "2000,2001",
+         "no year left to fit; years excluded: [2000, 2001], rows rejected: 0"),
+        (["2000,A,-1,2,3,4,300", "2001,A,2,-3,4,5,310"], "",
+         "no year left to fit; years excluded: [], rows rejected: 2"),
+        # a year is left, so the missing response is what the message names
+        (["2000,A,1,2,3,4,300", "2001,A,2,3,4,5,"], "2000", "no rows carry a co2_ppmv response"),
+    ])
+    def test_fit_names_why_no_year_is_fitted(self, tmp_path, capsys, monkeypatch, rows, exclude,
+                                             message):
+        write_emissions(tmp_path / "t.csv", rows)
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "t.csv", "--terms", "Li", "--exponent", "1",
+                     "--exclude-years", exclude, "-o", "m.json"]) == 2
+        assert one_error_line(capsys, "InputError") == f"rsmcanon: InputError: t.csv: {message}\n"
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf", "5e-324"])
     def test_fit_exponent_without_finite_reciprocal(self, tmp_path, capsys, exponent):

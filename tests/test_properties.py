@@ -39,7 +39,10 @@ and moves no other bit of the eigensolver or of an analysis.
 Emissions ingestion sums the kept rows of a shuffled per-country CSV,
 with blank rows, blank co2 cells, negative rows and excluded years, bit
 for bit as a plain-Python running sum in file order does, and rejects
-the same lines. The indented JSON writer gives the bytes of
+the same lines. ``fit_emissions`` fits the years of that running sum
+that carry co2_ppmv bit for bit as ``ols_fit`` on them does, records
+the fitted and dropped years and the rejected rows, and raises what
+that hand path raises. The indented JSON writer gives the bytes of
 ``json.dumps(tree, indent=2, sort_keys=True)`` on generated JSON trees,
 or raises the exception type it raises, and the report and model file of
 a graded model are those bytes.
@@ -64,7 +67,7 @@ import rsmcanon as rc
 import rsmcanon.fitting as fitting
 import rsmcanon.linalg as linalg
 import rsmcanon.tradeoff as tradeoff
-from rsmcanon.modelio import json_text
+from rsmcanon.modelio import EMISSIONS_NAMES, json_text
 from rsmcanon.regions import CONTAINS_SLACK
 
 LAMBDA_SCALE = 1e-16
@@ -915,11 +918,11 @@ def test_accepted_report_json_has_only_finite_numbers(case, data):
 
 
 @st.composite
-def emissions_csv(draw):
+def emissions_csv(draw, max_years=6):
     """Data lines of a per-country emissions CSV and a year exclusion list.
     Cells span six decades; a row may carry one negative cell or a blank
     co2_ppmv cell, and blank rows fall anywhere in the shuffled order."""
-    years = draw(st.lists(st.integers(1950, 2010), min_size=1, max_size=6, unique=True))
+    years = draw(st.lists(st.integers(1950, 2010), min_size=1, max_size=max_years, unique=True))
     lines = []
     for year in years:
         co2 = draw(st.floats(250.0, 450.0))
@@ -973,6 +976,47 @@ def test_ingestion_sums_kept_rows_as_a_running_total(tmp_path_factory, case):
     assert totals.values.shape == values.shape
     assert totals.values.tobytes() == values.tobytes()
     assert [line for line, _ in rejected] == rejected_lines
+
+
+@given(emissions_csv(max_years=20),  # enough years for some draws to fit
+       st.lists(st.sampled_from(full_quadratic(4)), min_size=1, max_size=4, unique=True),
+       st.sampled_from([1.0, -2.376]))
+def test_fit_emissions_is_the_hand_path(tmp_path_factory, case, terms, exponent):
+    # the hand path fits the ingestion oracle's years that carry co2_ppmv
+    lines, exclude = case
+    path = tmp_path_factory.mktemp("emissions") / "e.csv"
+    path.write_text("year,country,liquid,gas,gas_flares,bunker,co2_ppmv\n"
+                    + "\n".join(lines) + "\n")
+    years, values, co2, _ = emissions_oracle(lines, exclude)
+    kept = [k for k, c in enumerate(co2) if c is not None]
+    rejected, _ = rc.load_emissions(path, exclude_years=exclude)
+    try:
+        want = rc.ols_fit(rc.Dataset(values[kept], np.array([co2[k] for k in kept]),
+                                     EMISSIONS_NAMES), terms, exponent, response_label="CO2 ppmv")
+    except rc.RsmError as exc:
+        want = exc
+    if not years:
+        want = rc.InputError(f"{path}: no year left to fit; years excluded: {sorted(exclude)}, "
+                             f"rows rejected: {len(rejected)}")
+    elif not kept:
+        want = rc.InputError(f"{path}: no rows carry a co2_ppmv response")
+    if isinstance(want, rc.RsmError):
+        with pytest.raises(type(want)) as err:
+            rc.fit_emissions(path, terms, exponent, exclude_years=exclude)
+        assert type(err.value) is type(want) and str(err.value) == str(want)
+        return
+    got = rc.fit_emissions(path, terms, exponent, exclude_years=exclude)
+
+    def record(fit):
+        numbers = [fit.model.intercept, fit.sse,
+                   *(v for s in fit.term_stats for v in (s.coefficient, s.f_value))]
+        return (np.array(numbers).tobytes(), [s.label for s in fit.term_stats], fit.ranking,
+                fit.model.response_label)
+
+    assert record(got) == record(want)
+    assert got.years == tuple(years[k] for k in kept)
+    assert got.dropped_years == tuple(y for y, c in zip(years, co2) if c is None)
+    assert got.rejected == rejected
 
 
 # JSON trees for the indented writer: every leaf kind json.dumps renders
