@@ -46,7 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(csv_path, "w") as handle:
         handle.write("\n".join(rows) + "\n")
 
-    terms = [(0,), (1,), (1, 3)]  # Li, Ga, Ga:Bu
+    terms = rc.parse_terms("Li,Ga,Ga:Bu", EMISSIONS_NAMES)
     result = rc.fit_emissions(csv_path, terms, EXPONENT, exclude_years=[1964])
     print(f"Ingested {len(result.years)} years (1964 excluded, "
           f"{len(result.rejected)} rows rejected)")
@@ -54,11 +54,10 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"SSE on the transformed scale: {result.sse:.3e}")
     print()
     print("rank  term    fitted coefficient   generating value    F")
-    truth = {"Li": TRUE["Li"], "Ga": TRUE["Ga"], "Ga:Bu": TRUE["Ga:Bu"]}
     stats = {s.label: s for s in result.term_stats}
     for k, label in enumerate(result.ranking, start=1):
         s = stats[label]
-        print(f"{k:>4}  {label:<6} {s.coefficient:>18.6e} {truth[label]:>18.6e} "
+        print(f"{k:>4}  {label:<6} {s.coefficient:>18.6e} {TRUE[label]:>18.6e} "
               f"{s.f_value:>10.3g}")
     print()
     print(f"intercept: fitted {result.model.intercept:.6e} vs "

@@ -32,7 +32,7 @@ _PUBLIC = {
                 "transform_response"),
     "linalg": ("DEFAULT_COND_TOL", "EigenDecomposition", "SymMatrix", "jacobi_eigen", "solve"),
     "model": ("ModelTerm", "QuadraticModel", "build_model", "evaluate_matrix", "evaluate_terms",
-              "gradient", "predict_response"),
+              "gradient", "parse_terms", "predict_response"),
     "modelio": ("YearlyTotals", "bundled_eu_model_path", "emit_plot_csv", "load_bundled_eu_model",
                 "load_emissions", "load_model", "load_model_document", "save_model"),
     "regions": ("RegionParametrization", "boundary_points", "contains", "ellipse_region",

@@ -6,7 +6,8 @@ boundary-sample CSV), ``tradeoff`` (model -> exchange rates), ``fit``
 response). Exit status: 0 on success, 2 for input errors, 3 for
 numerical failures, numpy overflow and invalid operations included.
 
-argparse converts every argument, each number by ``modelio.strict_number``;
+argparse converts every argument, each number by ``modelio.strict_number``
+and ``--terms`` by ``model.parse_terms``, so the CLI parses no term label;
 commands call the library (``fit`` only ``fitting.fit_emissions``) and
 write the text it renders, formatting no numbers (``predict`` writes a repr).
 
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .canonical import canonicalize, with_center
-from .errors import DimensionMismatch, InputError, NumericalError, RsmError
-from .model import ModelTerm, check_terms, predict_response
+from .errors import InputError, NumericalError, RsmError
+from .model import parse_terms, predict_response
 from .modelio import (
     EMISSIONS_NAMES,
     atomic_write,
@@ -59,22 +60,6 @@ def _parse_vector(text: str) -> np.ndarray | None:  # "" keeps the default
         return np.array([strict_number(float, v) for v in text.split(",")]) if text else None
     except ValueError:
         raise InputError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_terms(text: str) -> list[ModelTerm]:
-    index = {name: k for k, name in enumerate(EMISSIONS_NAMES)}
-    terms = []
-    for chunk in filter(None, map(str.strip, text.split(","))):
-        parts = [part.strip() for part in chunk.split(":")]
-        if len(parts) > 2:
-            raise DimensionMismatch(f"term {chunk!r} has more than two variables")
-        try:
-            terms.append(ModelTerm(tuple(index[part] for part in parts), 0.0))
-        except KeyError as exc:
-            raise InputError(f"unknown variable {exc.args[0]!r} in term {chunk!r}") from None
-    if not terms:
-        raise InputError("no terms given")
-    return check_terms(terms, EMISSIONS_NAMES)
 
 
 def _parse_years(text: str) -> list[int]:
@@ -191,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a model to an emissions CSV")
     fit.add_argument("data", help="emissions CSV (year,country,liquid,gas,gas_flares,bunker[,co2_ppmv])")
-    fit.add_argument("--terms", type=_parse_terms, required=True,
+    fit.add_argument("--terms", type=functools.partial(parse_terms, names=EMISSIONS_NAMES),
+                     required=True,
                      help="comma-separated terms, e.g. 'Li,Ga,Fl,Li:Li,Ga:Bu,Bu:Bu,Li:Fl'")
     fit.add_argument("--exponent", type=float, required=True,
                      help="response transform power, e.g. -2.376")

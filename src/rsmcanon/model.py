@@ -19,10 +19,11 @@ factors are expected to be applied before construction.
 This module owns the term rule: a term has 1 or 2 sorted int indices,
 each in [0, n), and no two terms share them. ``ModelTerm`` sorts and
 counts its own; ``check_terms`` tests range and duplicates for both
-``build_model`` and ``fitting.ols_fit``. The point rule is
-``linalg.check_point`` (shape (n,), n finite entries); it runs before
-any arithmetic in every per-point function here and in ``canonical``,
-so in ``regions.contains`` as well.
+``build_model`` and ``fitting.ols_fit``. It owns the label syntax too
+(``Li``, ``Ga:Bu``): ``ModelTerm.label`` prints it, ``parse_terms``
+reads it. The point rule is ``linalg.check_point`` (shape (n,), n
+finite entries); it runs before any arithmetic in every per-point
+function here and in ``canonical``, so in ``regions.contains`` as well.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, DuplicateTerm, IndexOutOfRange
+from .errors import DimensionMismatch, DomainError, DuplicateTerm, IndexOutOfRange, InputError
 from .linalg import SymMatrix, check_point
 
 
@@ -65,6 +66,7 @@ class ModelTerm:
         return len(self.indices) == 1
 
     def label(self, names) -> str:
+        """The term's variable names joined by ``:``; ``parse_terms`` reads it back."""
         return ":".join(names[k] for k in self.indices)
 
 
@@ -137,6 +139,28 @@ def check_terms(terms, names) -> list[ModelTerm]:
             raise DuplicateTerm(f"term {term.label(names)} supplied twice")
         seen.add(idx)
     return terms
+
+
+def parse_terms(text: str, names) -> list[ModelTerm]:
+    """Terms with coefficient 0 from comma-separated labels, ``"Li, Ga:Bu"``.
+
+    The inverse of ``ModelTerm.label``; spaces around ``,`` and ``:`` are
+    ignored. InputError for an unknown name, more than two names in a
+    term or no term at all; ``check_terms`` then tests the terms.
+    """
+    index = {name: k for k, name in enumerate(names)}
+    terms = []
+    for chunk in filter(None, map(str.strip, text.split(","))):
+        parts = [part.strip() for part in chunk.split(":")]
+        if len(parts) > 2:
+            raise DimensionMismatch(f"term {chunk!r} has more than two variables")
+        try:
+            terms.append(ModelTerm(tuple(index[part] for part in parts), 0.0))
+        except KeyError as exc:
+            raise InputError(f"unknown variable {exc.args[0]!r} in term {chunk!r}") from None
+    if not terms:
+        raise InputError("no terms given")
+    return check_terms(terms, names)
 
 
 def build_model(terms, intercept: float, exponent: float, names,

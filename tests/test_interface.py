@@ -568,6 +568,22 @@ def test_star_import_in_a_fresh_interpreter_binds_exactly_all():
     assert loaded_modules(code) == {"rsmcanon", *SUBMODULES}
 
 
+def test_dir_and_an_unknown_name_load_nothing():
+    # dir() lists the public names before any submodule is loaded, and an
+    # unknown name is an AttributeError, so hasattr answers False
+    code = ("import rsmcanon\n"
+            "listed = set(dir(rsmcanon))\n"
+            "assert set(rsmcanon.__all__) <= listed, set(rsmcanon.__all__) - listed\n"
+            "assert not hasattr(rsmcanon, 'no_such_name')\n"
+            "try:\n"
+            "    rsmcanon.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert str(exc) == \"module 'rsmcanon' has no attribute 'no_such_name'\", exc\n"
+            "else:\n"
+            "    raise AssertionError('no error')")
+    assert loaded_modules(code) == {"rsmcanon"}
+
+
 class TestReport:
     def test_deterministic_bytes(self, eu_model):
         first = rc.run_analysis(eu_model, center=EU_WORKED_CENTER)
@@ -701,6 +717,23 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().splitlines()) == 11
 
+    def test_regions_takes_the_bound(self, model_path, eu_canon, capsys):
+        assert main(["regions", model_path, "--pair", "1,3", "--bound-M", "4e-8",
+                     "--samples", "7"]) == 0
+        assert capsys.readouterr().out == rc.emit_plot_csv(rc.region(eu_canon, 1, 3, 4e-8), 7)
+
+    def test_regions_takes_a_valid_t_max(self, model_path, eu_canon, capsys):
+        assert main(["regions", model_path, "--pair", "2,3", "--t-max", "2.5",
+                     "--samples", "7"]) == 0
+        assert capsys.readouterr().out == rc.emit_plot_csv(rc.region(eu_canon, 2, 3, M_IPCC),
+                                                           7, 2.5)
+
+    @pytest.mark.parametrize("pair", ["1", "1,2,3"])
+    def test_regions_pair_needs_two_numbers(self, model_path, capsys, pair):
+        assert main(["regions", model_path, "--pair", pair]) == 2
+        assert one_error_line(capsys, "InputError") == (
+            f"rsmcanon: InputError: expected a pair like '1,3', got {pair!r}\n")
+
     def test_regions_csv_header_quotes_names(self, eu_model, tmp_path, capsys):
         # a model file accepts any string as a variable name
         names = ("Li,quid", 'G"a', "Fl\nares", "Bu")
@@ -710,6 +743,12 @@ class TestCli:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["param", "r", "z_1", "z_3", *names]
         assert len(rows) == 4 and all(len(row) == 4 + len(names) for row in rows)
+
+    def test_analyze_takes_the_pairing(self, model_path, capsys):
+        assert main(["analyze", model_path, "--pairing", "2,3", "--format", "json"]) == 0
+        trade = json.loads(capsys.readouterr().out)["tradeoff"]
+        assert [s["pair"] for s in trade["iso_slopes"]] == [[2, 3]]
+        assert [(r["from"], r["to"]) for r in trade["conversion_rates"]] == [("Li", "Fl")]
 
     def test_tradeoff(self, model_path, capsys):
         assert main(["tradeoff", model_path]) == 0

@@ -339,6 +339,25 @@ def test_contains_raises_on_every_call_while_center_center_overflows():
                 rc.contains(far, [0.0, 0.0], 1e-8)
 
 
+# a variable name that a label can carry: no separator, and nothing that
+# str.strip would take off either end
+label_name = st.text(st.characters(exclude_characters=",:"), min_size=1, max_size=4).filter(
+    lambda name: name == name.strip())
+
+
+@given(names=st.lists(label_name, min_size=1, max_size=5, unique=True), data=st.data())
+def test_parse_terms_reads_back_what_label_prints(names, data):
+    indices = data.draw(st.lists(st.sampled_from(full_quadratic(len(names))), min_size=1,
+                                 unique=True))
+    labels = [rc.ModelTerm(idx, 1.0).label(names) for idx in indices]
+    pad = data.draw(st.text(" ", min_size=1, max_size=3))
+    for text in (", ".join(labels),
+                 f"{pad},{pad}".join(label.replace(":", f"{pad}:{pad}") for label in labels)):
+        terms = rc.parse_terms(text, names)
+        assert [t.indices for t in terms] == indices, text
+        assert all(t.coefficient == 0.0 for t in terms)
+
+
 @given(base=st.one_of(dense_model(), graded_model().map(lambda case: case[0])), data=st.data())
 def test_every_model_build_model_accepts_round_trips_through_a_file(tmp_path_factory, base, data):
     names = data.draw(st.lists(st.text(max_size=3), min_size=base.n, max_size=base.n,
