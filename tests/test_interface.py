@@ -728,12 +728,6 @@ class TestCli:
         assert capsys.readouterr().out == rc.emit_plot_csv(rc.region(eu_canon, 2, 3, M_IPCC),
                                                            7, 2.5)
 
-    @pytest.mark.parametrize("pair", ["1", "1,2,3"])
-    def test_regions_pair_needs_two_numbers(self, model_path, capsys, pair):
-        assert main(["regions", model_path, "--pair", pair]) == 2
-        assert one_error_line(capsys, "InputError") == (
-            f"rsmcanon: InputError: expected a pair like '1,3', got {pair!r}\n")
-
     def test_regions_csv_header_quotes_names(self, eu_model, tmp_path, capsys):
         # a model file accepts any string as a variable name
         names = ("Li,quid", 'G"a', "Fl\nares", "Bu")
@@ -1116,6 +1110,8 @@ class TestInputChecks:
         (["tradeoff", "{model}", "--pairing", "1,4;2,0_3"], "pair '2,0_3' must contain integers"),
         # a term error comes before the CSV is opened
         (["fit", "{missing}", "--terms", "Li,Li:Xx"], "unknown variable 'Xx' in term 'Li:Xx'"),
+        (["regions", "{model}", "--pair", "1"], "expected a pair like '1,3', got '1'"),
+        (["regions", "{model}", "--pair", "1,2,3"], "expected a pair like '1,3', got '1,2,3'"),
     ])
     def test_malformed_arguments(self, model_path, tmp_path, capsys, args, message):
         write_emissions(tmp_path / "co2.csv", noisy_emissions_rows())
