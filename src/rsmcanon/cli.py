@@ -30,6 +30,7 @@ from .canonical import canonicalize, with_center
 from .errors import InputError, NumericalError, RsmError
 from .model import parse_terms, predict_response
 from .modelio import (
+    EMISSIONS_FIELDS,
     EMISSIONS_NAMES,
     atomic_write,
     emit_plot_csv,
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     tradeoff.set_defaults(func=_cmd_tradeoff)
 
     fit = sub.add_parser("fit", help="fit a model to an emissions CSV")
-    fit.add_argument("data", help="emissions CSV (year,country,liquid,gas,gas_flares,bunker[,co2_ppmv])")
+    fit.add_argument("data", help=f"emissions CSV (year,country,{','.join(EMISSIONS_FIELDS)}[,co2_ppmv])")
     fit.add_argument("--terms", type=functools.partial(parse_terms, names=EMISSIONS_NAMES),
                      required=True,
                      help="comma-separated terms, e.g. 'Li,Ga,Fl,Li:Li,Ga:Bu,Bu:Bu,Li:Fl'")

@@ -1,9 +1,10 @@
 """File formats: model JSON, emissions CSV, and region-sample CSV.
 
 Model files carry coefficients in absolute units; any printed scale
-factors are the file author's responsibility. Keys beginning with
-``reference_`` are passed through as opaque metadata (published
-F-values and the like) and never feed computation.
+factors are the file author's responsibility. ``load_model_document``
+reads keys beginning with ``reference_`` as opaque metadata (published
+F-values and the like) that never feeds computation; ``save_model``
+writes none.
 
 Emissions CSVs have the header
 ``year,country,liquid,gas,gas_flares,bunker[,co2_ppmv]`` with
@@ -64,19 +65,21 @@ def atomic_write(path, text: str) -> None:
                 return
     except (OSError, ValueError):  # missing, unreadable or not text: write it
         pass
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None  # None while mkstemp runs: an OSError there names a temporary file too
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
         try:
-            os.unlink(tmp)
+            if tmp is not None:
+                os.unlink(tmp)
         except OSError:
             pass
-        if isinstance(exc, OSError) and exc.filename == tmp:  # name the path asked for alone
+        if isinstance(exc, OSError) and (tmp is None or exc.filename == tmp):  # name path alone
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
@@ -150,12 +153,12 @@ def load_model(path) -> QuadraticModel:
     )
 
 
-def save_model(model: QuadraticModel, path, metadata: dict | None = None) -> None:
+def save_model(model: QuadraticModel, path) -> None:
     """Write a model back out in the same schema load_model reads.
 
     The file holds ``json.dumps(doc, indent=2, sort_keys=True)`` and a
     newline, byte for byte, rendered by ``json_text``."""
-    doc: dict = {
+    doc = {
         "variables": list(model.names),
         "response_label": model.response_label,
         "exponent": model.exponent,
@@ -165,22 +168,15 @@ def save_model(model: QuadraticModel, path, metadata: dict | None = None) -> Non
             for term in model.terms
         ],
     }
-    for key, value in (metadata or {}).items():
-        if not key.startswith("reference_"):
-            raise SchemaError(f"metadata keys must start with 'reference_', got {key!r}")
-        doc[key] = value
     atomic_write(path, json_text(doc) + "\n")
 
 
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, without the
-    pure-Python encoder json runs when given an indent. Input this does not model
-    (a key that is not a str, a type json rejects, a cycle) goes whole to
-    ``json.dumps``, so its bytes and exceptions are json's own."""
-    try:
-        return _json_node(obj, "\n")
-    except (TypeError, ValueError, RecursionError):
-        return json.dumps(obj, indent=2, sort_keys=True)
+    pure-Python encoder json runs when given an indent, for a tree of dicts with
+    str keys, lists and tuples over any leaf json renders. Each other leaf goes
+    to ``json.dumps``, so an unencodable one raises json's own exception."""
+    return _json_node(obj, "\n")
 
 
 def _json_node(obj, pad: str) -> str:

@@ -130,6 +130,7 @@ def _build(canon: CanonicalModel, i: int, j: int, bound: float,
     kind is the one asked for, then ``check_bound``, and InputError for a
     bound so large that the semiaxes overflow."""
     kind = region_kind(canon, i, j)
+    i, j = int(i), int(j)  # checked by region_kind; the pair keeps Python ints
     if (kind == "hyperbolic") != unbounded:
         raise WrongKind(f"pair ({i}, {j}) has same-sign eigenvalues; use ellipse_region"
                         if unbounded else

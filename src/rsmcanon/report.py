@@ -8,7 +8,8 @@ shortest-round-trip repr) and byte-identical text, which is all the CLI
 prints about an analysis: the whole ``to_text`` or its ``tradeoff_lines``.
 ``to_json`` renders through ``modelio.json_text``, the writer model files
 use too; its bytes are those of ``json.dumps(report.to_dict(), indent=2,
-sort_keys=True)`` followed by a newline, for every report.
+sort_keys=True)`` followed by a newline, for every report ``run_analysis``
+builds.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def run_analysis(model: QuadraticModel, pairs=None, bound: float = DEFAULT_BOUND
 
     if pairing is None:
         pairing = default_pairing(canon)
-    slopes = [
-        {"pair": [i, j], "slope": _staged("tradeoff", iso_slopes, canon, i, j)[0]}
+    slopes = [  # the slope first: iso_slopes checks the pair, then it is kept as ints
+        {"slope": _staged("tradeoff", iso_slopes, canon, i, j)[0], "pair": [int(i), int(j)]}
         for i, j in pairing
     ]
     rates = [
@@ -223,7 +224,6 @@ def _staged(stage: str, fn, *args):
     try:
         return fn(*args)
     except RsmError as exc:
-        exc.stage = stage
         if exc.args and not str(exc.args[0]).startswith(f"[{stage}] "):
             exc.args = (f"[{stage}] {exc.args[0]}",) + exc.args[1:]
         raise
