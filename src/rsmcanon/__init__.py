@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 # Submodule -> the public names it defines, in ``__all__`` order.
 _PUBLIC = {
-    "canonical": ("CanonicalModel", "canonical_response", "canonicalize", "check_pair", "classify",
-                  "degenerate_axes", "from_canonical", "to_canonical", "with_center"),
+    "canonical": ("CanonicalModel", "canonical_response", "canonicalize", "check_pair",
+                  "from_canonical", "to_canonical", "with_center"),
     "errors": ("DegeneratePair", "DimensionMismatch", "DomainError", "DuplicateTerm",
                "IndexOutOfRange", "InputError", "NoPositiveBranch", "NonConvergence",
                "NonPositiveBound", "NotTwoVariable", "NumericalError", "ParseError",

@@ -10,10 +10,11 @@ The eigenvalue signs classify the stationary point, labelled "maximum",
 "minimum", "saddle" or "degenerate". Canonical axes are numbered from 1
 to match the usual z_1 .. z_n labelling.
 
-One rule, ``degenerate_axes`` (``linalg.small_axes`` at ZERO_TOL_FACTOR,
+One rule, ``_degenerate_axes`` (``linalg.small_axes`` at ZERO_TOL_FACTOR,
 1-based), marks axis k degenerate when |lambda_k| <= ZERO_TOL_FACTOR *
 max|lambda|: the surface is a ridge there and the stationary point
-undefined. ``canonicalize``, ``classify`` and ``check_pair`` apply it.
+undefined. ``canonicalize`` refuses a model by it; a frame decides it
+once, as ``CanonicalModel.degenerate_axes``, the one set later stages read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneratePair, IndexOutOfRange, SingularMatrix
+from .errors import DegeneratePair, DimensionMismatch, IndexOutOfRange, SingularMatrix
 from .linalg import check_point, jacobi_eigen, small_axes, solve
 from .model import QuadraticModel
 
@@ -36,24 +37,10 @@ ZERO_TOL_FACTOR = 1e-9
 AXIS_LABEL_THRESHOLD = 0.2
 
 
-def degenerate_axes(lambdas) -> tuple[int, ...]:
+def _degenerate_axes(lambdas) -> tuple[int, ...]:
     """1-based ``small_axes`` at ZERO_TOL_FACTOR: the axes with |lambda| <=
     ZERO_TOL_FACTOR * max|lambda| (all axes of a zero spectrum)."""
     return tuple((small_axes(lambdas, ZERO_TOL_FACTOR) + 1).tolist())
-
-
-def classify(lambdas) -> str:
-    """The stationary point's kind by eigenvalue signs: "degenerate" if
-    ``degenerate_axes`` finds an axis, else "maximum" (all negative),
-    "minimum" (all positive) or "saddle" (mixed)."""
-    lam = np.asarray(lambdas, dtype=float)
-    if degenerate_axes(lam):
-        return "degenerate"
-    if (lam < 0).all():
-        return "maximum"
-    if (lam > 0).all():
-        return "minimum"
-    return "saddle"
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +49,12 @@ class CanonicalModel:
 
     ``axes`` holds the orthonormal eigenvectors as columns, ordered by
     descending |lambda| alongside ``lambdas``. ``y0`` is the
-    transformed response at the center. ``kind`` is the label
-    ``classify`` derives from ``lambdas``, so it cannot contradict them.
-    ``center``, ``lambdas`` and ``axes`` are kept as read-only float
-    copies, whatever array-likes they were given as.
+    transformed response at the center. ``degenerate_axes`` and ``kind``
+    derive from ``lambdas``, so neither can contradict them.
+    ``center`` and ``lambdas`` must pass ``check_point``, ``axes`` must be
+    a finite (n, n) array and ``y0`` a finite number, or DimensionMismatch
+    names the field. The three arrays are kept as read-only float copies,
+    whatever array-likes they were given as.
     """
 
     names: tuple[str, ...]
@@ -75,8 +64,17 @@ class CanonicalModel:
     axes: np.ndarray
 
     def __post_init__(self) -> None:
+        n = len(self.names)
+        axes = np.asarray(self.axes, dtype=float)
+        if axes.shape != (n, n):
+            raise DimensionMismatch(f"axes has shape {axes.shape}, expected ({n}, {n})")
+        if not np.isfinite(axes).all():
+            raise DimensionMismatch("axes entries must be finite")
+        if not math.isfinite(self.y0):
+            raise DimensionMismatch(f"y0 must be finite, got {self.y0!r}")
         for field in ("center", "lambdas", "axes"):
-            value = np.array(getattr(self, field), dtype=float)  # a copy, in the same layout
+            value = axes if field == "axes" else check_point(getattr(self, field), n, field)
+            value = np.array(value)  # a copy, in the same layout
             value.setflags(write=False)
             object.__setattr__(self, field, value)
 
@@ -103,9 +101,22 @@ class CanonicalModel:
                 self.__dict__["_center_norm"] = norm
         return norm
 
+    @cached_property
+    def degenerate_axes(self) -> tuple[int, ...]:
+        """``_degenerate_axes`` of ``lambdas``, decided once per frame."""
+        return _degenerate_axes(self.lambdas)
+
     @property
     def kind(self) -> str:
-        return classify(self.lambdas)
+        """The stationary point's kind: "degenerate" if ``degenerate_axes``
+        holds an axis, else "maximum", "minimum" or "saddle" by the signs."""
+        if self.degenerate_axes:
+            return "degenerate"
+        if (self.lambdas < 0).all():
+            return "maximum"
+        if (self.lambdas > 0).all():
+            return "minimum"
+        return "saddle"
 
     def axis_label(self, k: int) -> str:
         """Readable form of z_k over its dominant original variables.
@@ -136,7 +147,7 @@ def canonicalize(model: QuadraticModel) -> CanonicalModel:
     shift is then undefined.
     """
     eig = jacobi_eigen(model.interaction)
-    bad = degenerate_axes(eig.lambdas)
+    bad = _degenerate_axes(eig.lambdas)
     if bad:
         raise SingularMatrix(
             f"quadratic part is degenerate along canonical axes {list(bad)}; "
@@ -159,7 +170,7 @@ def check_pair(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
     """(lambda_i, lambda_j) for a region or trade pair.
 
     Raises IndexOutOfRange unless i and j are distinct integer axes in
-    1..n, and DegeneratePair if either is one of the ``degenerate_axes``.
+    1..n, and DegeneratePair if either is one of ``canon.degenerate_axes``.
     """
     if i == j:
         raise IndexOutOfRange(f"canonical pair needs two distinct axes, got ({i}, {j})")
@@ -170,8 +181,7 @@ def check_pair(canon: CanonicalModel, i: int, j: int) -> tuple[float, float]:
             raise IndexOutOfRange(f"canonical axis {k!r} is not an integer") from None
         if not 1 <= k <= canon.n:
             raise IndexOutOfRange(f"canonical axis {k} outside 1..{canon.n}")
-    degenerate = degenerate_axes(canon.lambdas)
-    bad = [k for k in (i, j) if k in degenerate]
+    bad = [k for k in (i, j) if k in canon.degenerate_axes]
     if bad:
         raise DegeneratePair(f"canonical axes {bad} have |eigenvalue| <= "
                              f"{ZERO_TOL_FACTOR:g} max|eigenvalue|")
@@ -183,10 +193,11 @@ def with_center(canon: CanonicalModel, center) -> CanonicalModel:
 
     Regions and trade relations are sometimes quoted about a published
     center rather than the computed stationary point; this swaps the
-    origin while keeping eigenvalues and axes. The center passes
-    ``linalg.check_point``, as do the points and canonical coordinates below.
+    origin while keeping eigenvalues and axes. The frame checks the center
+    with ``linalg.check_point``, as the functions below check points and
+    canonical coordinates.
     """
-    return replace(canon, center=check_point(center, canon.n, "center"))
+    return replace(canon, center=center)
 
 
 def to_canonical(canon: CanonicalModel, point) -> np.ndarray:

@@ -15,8 +15,10 @@ module uses: ``SymMatrix`` takes a square matrix of finite entries, and
 
 One rule says when an eigenvalue counts as zero: ``small_axes`` marks
 axis k when |lambda_k| <= factor * max|lambda|. ``solve`` and the fit
-apply it at DEFAULT_COND_TOL, ``canonical.degenerate_axes`` at its own
-factor; no other code compares an eigenvalue with a tolerance.
+apply it at DEFAULT_COND_TOL. ``canonical`` applies it at its own factor
+in ``canonicalize``'s gate and once per frame, as the
+``CanonicalModel.degenerate_axes`` that every later stage reads. No
+other code compares an eigenvalue with a tolerance.
 
 Sized for the interaction matrices of second-order response models
 (n up to a few dozen). Not intended for large or non-symmetric

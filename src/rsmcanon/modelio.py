@@ -45,8 +45,9 @@ EMISSIONS_NAMES = ("Li", "Ga", "Fl", "Bu")
 
 
 def atomic_write(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename,
-    with the mode a plain ``open`` would give (0o666 less the umask).
+    """Write ``text`` to ``path`` as UTF-8, whatever the locale, through a
+    temporary file and a rename, with the mode a plain ``open`` would give
+    (0o666 less the umask).
 
     A regular file that already has that mode and holds ``text`` is only
     touched (its times set to now). Renaming over an existing file makes
@@ -58,7 +59,7 @@ def atomic_write(path, text: str) -> None:
     try:
         st = os.lstat(path)
         if stat.S_ISREG(st.st_mode) and stat.S_IMODE(st.st_mode) == mode:
-            with open(path, newline="") as handle:
+            with open(path, encoding="utf-8", newline="") as handle:
                 same = handle.read() == text
             if same:
                 os.utime(path)
@@ -69,8 +70,8 @@ def atomic_write(path, text: str) -> None:
     tmp = None  # None while mkstemp runs: an OSError there names a temporary file too
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-        os.fchmod(fd, mode)
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:  # closes fd on every path
+            os.fchmod(fd, mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from . import __version__
-from .canonical import ZERO_TOL_FACTOR, CanonicalModel, canonicalize, degenerate_axes, with_center
+from .canonical import ZERO_TOL_FACTOR, CanonicalModel, canonicalize, with_center
 from .errors import RsmError
 from .linalg import DEFAULT_COND_TOL
 from .model import QuadraticModel
@@ -160,7 +160,7 @@ def run_analysis(model: QuadraticModel, pairs=None, bound: float = DEFAULT_BOUND
         "center": canon.center.tolist(),
         "y0": float(canon.y0),
         "kind": canon.kind,
-        "degenerate_axes": list(degenerate_axes(canon.lambdas)),
+        "degenerate_axes": list(canon.degenerate_axes),
     }
 
     region_sections = [

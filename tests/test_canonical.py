@@ -1,5 +1,7 @@
 """Canonical reduction: center, offset, coordinates, classification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,6 @@ from rsmcanon import (
     canonical_response,
     canonicalize,
     check_pair,
-    classify,
-    degenerate_axes,
     evaluate_matrix,
     from_canonical,
     gradient,
@@ -27,6 +27,13 @@ from rsmcanon import (
 from eu_reference import EU_LAMBDAS_REF
 
 PRINT_TOL = 1e-4
+
+
+def frame(lambdas):
+    """A frame with the given eigenvalues on the identity axes, centered at 0."""
+    n = len(lambdas)
+    return CanonicalModel(names=tuple(f"x{k}" for k in range(1, n + 1)), center=np.zeros(n),
+                          y0=0.0, lambdas=np.array(lambdas, dtype=float), axes=np.eye(n))
 
 
 def negative_definite_model():
@@ -131,24 +138,24 @@ class TestCanonicalResponse:
 
 class TestClassify:
     def test_eu_signs_give_saddle(self):
-        assert classify(EU_LAMBDAS_REF) == "saddle"
+        assert frame(EU_LAMBDAS_REF).kind == "saddle"
 
     def test_all_negative(self):
-        assert classify([-1.0, -2.0]) == "maximum"
+        assert frame([-1.0, -2.0]).kind == "maximum"
 
     def test_all_positive(self):
-        assert classify([3.0, 0.5]) == "minimum"
+        assert frame([3.0, 0.5]).kind == "minimum"
 
     def test_degenerate_with_tolerance(self):
-        assert classify([1.0, 1e-15]) == "degenerate"
-        assert degenerate_axes([1.0, 1e-15]) == (2,)
+        assert frame([1.0, 1e-15]).kind == "degenerate"
+        assert frame([1.0, 1e-15]).degenerate_axes == (2,)
 
     def test_just_above_cutoff_is_not_degenerate(self):
-        assert classify([1.0, 1.1e-9]) == "minimum"
+        assert frame([1.0, 1.1e-9]).kind == "minimum"
 
     def test_cutoff_is_relative_to_largest_magnitude(self):
-        assert degenerate_axes([-2.0, 2e-9, 4.1e-9]) == (2,)
-        assert degenerate_axes([0.0, 0.0]) == (1, 2)
+        assert frame([-2.0, 2e-9, 4.1e-9]).degenerate_axes == (2,)
+        assert frame([0.0, 0.0]).degenerate_axes == (1, 2)
 
 
 class TestCheckPair:
@@ -163,12 +170,9 @@ class TestCheckPair:
         assert check_pair(eu_canon, np.int64(3), 1) == check_pair(eu_canon, 3, 1)
 
     def test_degenerate_axis_at_the_cutoff(self):
-        def frame(small):
-            return CanonicalModel(names=("x", "y"), center=np.zeros(2), y0=0.0,
-                                  lambdas=np.array([1.0, small]), axes=np.eye(2))
-        assert check_pair(frame(2e-9), 1, 2) == (1.0, 2e-9)
+        assert check_pair(frame([1.0, 2e-9]), 1, 2) == (1.0, 2e-9)
         with pytest.raises(DegeneratePair):
-            check_pair(frame(1e-9), 1, 2)
+            check_pair(frame([1.0, 1e-9]), 1, 2)
 
 
 class TestDirectionSigns:
@@ -194,13 +198,41 @@ class TestWithCenter:
         np.testing.assert_array_equal(shifted.axes, eu_canon.axes)
 
     def test_validates_shape(self, eu_canon):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=re.escape("center has shape (2,), expected (4,)")):
             with_center(eu_canon, [1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_center_rejected(self, eu_canon, bad):
         with pytest.raises(DimensionMismatch, match="center entries must be finite"):
             with_center(eu_canon, [bad, 0.0, 0.0, 0.0])
+
+
+class TestFrameInputs:
+    GOOD = dict(names=("x", "y"), center=[0.0, 0.0], y0=0.0, lambdas=[1.0, -1.0], axes=np.eye(2))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("center", [0.0, 0.0, 0.0], "center has shape (3,), expected (2,)"),
+        ("center", [[0.0, 0.0]], "center has shape (1, 2), expected (2,)"),
+        ("center", [0.0, np.nan], "center entries must be finite"),
+        ("lambdas", [1.0], "lambdas has shape (1,), expected (2,)"),
+        ("lambdas", [1.0, np.nan], "lambdas entries must be finite"),
+        ("lambdas", [-np.inf, 1.0], "lambdas entries must be finite"),
+        ("axes", np.eye(3), "axes has shape (3, 3), expected (2, 2)"),
+        ("axes", [1.0, 0.0], "axes has shape (2,), expected (2, 2)"),
+        ("axes", [[1.0, 0.0], [0.0, np.inf]], "axes entries must be finite"),
+        ("y0", np.nan, "y0 must be finite"),
+        ("y0", -np.inf, "y0 must be finite"),
+    ])
+    def test_bad_field_is_named(self, field, value, message):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            CanonicalModel(**dict(self.GOOD, **{field: value}))
+
+    def test_good_fields_are_read_only_float_copies(self):
+        center = [0, 1]
+        canon = CanonicalModel(**dict(self.GOOD, center=center))
+        center[0] = 5
+        assert canon.center.tolist() == [0.0, 1.0] and canon.center.dtype == float
+        assert not canon.axes.flags.writeable
 
 
 def test_axis_labels_name_dominant_variables(eu_canon):

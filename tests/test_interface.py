@@ -1341,6 +1341,44 @@ class TestAtomicWrite:
                                            f"{os.strerror(code)}: {target!r}\n")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "eu.json"]
 
+    def test_failed_chmod_closes_the_temporary_file(self, tmp_path, monkeypatch):
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to count open descriptors")
+
+        def refuse(fd, mode):
+            raise OSError("chmod refused")
+
+        monkeypatch.setattr(os, "fchmod", refuse)
+        before = len(os.listdir(fds))
+        for _ in range(5):
+            with pytest.raises(OSError, match="^chmod refused$"):
+                atomic_write(tmp_path / "out.csv", "a,b\n")
+        assert len(os.listdir(fds)) == before
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["analyze"], ["regions", "--pair", "1,3"]],
+                             ids=["analyze", "regions"])
+    def test_cli_output_is_utf8_under_an_ascii_locale(self, tmp_path, command):
+        # a variable named outside ASCII: the file holds the bytes a UTF-8
+        # locale writes, as every reader in modelio reads UTF-8
+        text = rc.bundled_eu_model_path().read_text(encoding="utf-8")
+        model = tmp_path / "model.json"
+        model.write_text(text.replace('"Li"', '"Lí"'), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        written = []
+        for locale, utf8_mode in (("C", "0"), ("C.UTF-8", "1")):
+            out = tmp_path / f"out.{locale}"
+            run = subprocess.run([sys.executable, "-m", "rsmcanon.cli", *command, str(model),
+                                  "-o", str(out)],
+                                 env=dict(os.environ, PYTHONPATH=src, LC_ALL=locale,
+                                          PYTHONUTF8=utf8_mode),
+                                 capture_output=True)
+            assert (run.returncode, run.stderr) == (0, b"")
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert "Lí".encode() in written[0]
+
     def test_symlink_is_replaced_by_a_file(self, tmp_path):
         target, path = tmp_path / "target.csv", tmp_path / "out.csv"
         target.write_text("a,b\n")

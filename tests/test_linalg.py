@@ -7,8 +7,9 @@ oracles: trace, cofactor determinants, and multiply-back residuals.
 ``small_axes`` is the one rule for an eigenvalue that counts as zero,
 |lambda| <= factor * max|lambda|; the tests pin its boundary, where an
 eigenvalue of exactly factor * max|lambda| counts and one ulp more does
-not, for ``solve`` at DEFAULT_COND_TOL and ``degenerate_axes`` at
-ZERO_TOL_FACTOR.
+not, for ``solve`` at DEFAULT_COND_TOL and, at ZERO_TOL_FACTOR, for
+``CanonicalModel.degenerate_axes``, the one decision a canonical frame
+makes for every later stage.
 """
 
 import os
@@ -23,12 +24,12 @@ import numpy as np
 import pytest
 
 from rsmcanon import (
+    CanonicalModel,
     DimensionMismatch,
     NonConvergence,
     NumericalError,
     SingularMatrix,
     SymMatrix,
-    degenerate_axes,
     jacobi_eigen,
     solve,
 )
@@ -334,6 +335,8 @@ class TestSmallAxes:
 
     @pytest.mark.parametrize("top", [1.0, -3.0, 7e-16])
     def test_degenerate_axes_at_cutoff_and_one_ulp_above(self, top):
+        def degenerate_axes(lam):
+            return CanonicalModel(("x", "y", "z"), np.zeros(3), 0.0, lam, np.eye(3)).degenerate_axes
         lam = at_cutoff(top, ZERO_TOL_FACTOR)
         assert degenerate_axes(lam) == (3,)
         lam[2] = np.nextafter(lam[2], np.inf)

@@ -28,8 +28,11 @@ angles in numpy's elementwise form, and a pairing that skips no pair of
 axes; the eigensolver also at the sizes the benchmark solves, where
 sha256 digests pin its output. On spectra graded across the 1e-12 and 1e-9 cutoffs, with
 eigenvalues on them and an ulp to either side, ``solve`` raises exactly
-when ``small_axes`` finds an axis and names those axes, and
-``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based. Scaling B and
+when ``small_axes`` finds an axis and names those axes, and a frame's
+``degenerate_axes`` is ``small_axes`` at 1e-9, 1-based. That set is the
+one decision: on frames with eigenvalues on that cutoff and an ulp to
+either side, ``kind``, ``check_pair``, ``region``, ``iso_slopes`` and
+the default pairing refuse exactly the axes it holds. Scaling B and
 beta by a power of ten down to 1e-300, where eigenvalue products
 underflow, moves no region kind, no ``iso_slopes`` verdict, no default
 pairing and no region kind of an analysis. Scaling A, or b0, beta, B
@@ -392,13 +395,42 @@ def spread_model(draw):
     return rc.QuadraticModel(model.names, 1.0, linear, model.interaction, 1.0)
 
 
+ZERO_TOL = rc.canonical.ZERO_TOL_FACTOR
+CUTOFF_SIDES = {"below": 0.0, "on": None, "above": math.inf}
+
+
+def near_cutoff(top, side):
+    """ZERO_TOL * |top|, or the float an ulp below or above it."""
+    cut = ZERO_TOL * abs(top)
+    return cut if CUTOFF_SIDES[side] is None else float(np.nextafter(cut, CUTOFF_SIDES[side]))
+
+
+def diag_frame(lam):
+    """A frame with eigenvalues ``lam`` on the identity axes, centered at 0."""
+    n = len(lam)
+    return rc.CanonicalModel(tuple(f"x{k}" for k in range(1, n + 1)), np.zeros(n), 0.0,
+                             lam, np.eye(n))
+
+
+def cutoff_model(side):
+    """A diagonal B at the EU scale whose third eigenvalue lies on the
+    cutoff or an ulp to ``side`` of it."""
+    lam = [-2.0 * LAMBDA_SCALE, LAMBDA_SCALE, near_cutoff(2.0 * LAMBDA_SCALE, side)]
+    return rc.QuadraticModel(("x1", "x2", "x3"), 1.0, LAMBDA_SCALE * 1e8 * np.array([1.0, -1.0, 1.0]),
+                             rc.SymMatrix(np.diag(lam)), 1.0)
+
+
 @given(spread_model())
+@example(cutoff_model("below"))
+@example(cutoff_model("on"))
+@example(cutoff_model("above"))
 def test_what_canonicalize_accepts_later_stages_accept(model):
     try:
         canon = rc.canonicalize(model)
     except rc.SingularMatrix:
-        assert rc.degenerate_axes(rc.jacobi_eigen(model.interaction).lambdas)
+        assert diag_frame(rc.jacobi_eigen(model.interaction).lambdas).degenerate_axes
         return
+    assert canon.degenerate_axes == () and canon.kind != "degenerate"
     rc.run_analysis(model)  # default region and trade pairs; no NumericalError
     lam = canon.lambdas
     for i in range(1, canon.n + 1):
@@ -453,7 +485,7 @@ def test_one_zero_rule_for_solve_and_degenerate_axes(case):
     s, lam = case
     for factor in FACTORS:
         assert linalg.small_axes(lam, factor).tolist() == small_oracle(lam, factor)
-    assert rc.degenerate_axes(lam) == tuple(k + 1 for k in small_oracle(lam, FACTORS[1]))
+    assert diag_frame(lam).degenerate_axes == tuple(k + 1 for k in small_oracle(lam, FACTORS[1]))
     small = small_oracle(rc.jacobi_eigen(s).lambdas, linalg.DEFAULT_COND_TOL)
     try:
         rc.solve(s, np.ones(len(lam)))
@@ -461,6 +493,30 @@ def test_one_zero_rule_for_solve_and_degenerate_axes(case):
         assert str(exc).startswith(f"eigenvalues {[k + 1 for k in small]} are below")
     else:
         assert not small
+
+
+@pytest.mark.parametrize("top", [1.0, -3.0])
+@pytest.mark.parametrize("third, fourth", itertools.product(CUTOFF_SIDES, repeat=2))
+def test_frame_decides_degeneracy_once_for_every_stage(top, third, fourth):
+    lam = [-2.0 * top, top, near_cutoff(2.0 * top, third), -near_cutoff(2.0 * top, fourth)]
+    canon = diag_frame(lam)
+    bad = {k + 1 for k in small_oracle(lam, ZERO_TOL)}
+    assert bad == {k for k, side in ((3, third), (4, fourth)) if side != "above"}
+    assert canon.degenerate_axes == tuple(sorted(bad))
+    assert (canon.kind == "degenerate") == bool(bad)
+    stages = (rc.check_pair, lambda c, i, j: rc.region(c, i, j, 1e-8), rc.iso_slopes)
+    for i, j in itertools.permutations(range(1, 5), 2):
+        for stage in stages:
+            try:
+                stage(canon, i, j)
+            except rc.DegeneratePair:
+                assert {i, j} & bad
+            except rc.SameSignPair:
+                assert not {i, j} & bad
+            else:
+                assert not {i, j} & bad
+    pairing = rc.default_pairing(canon)
+    assert (1, 2) in pairing and not any({i, j} & bad for i, j in pairing)
 
 
 @st.composite
