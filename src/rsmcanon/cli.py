@@ -4,12 +4,16 @@ Subcommands: ``analyze`` (model -> report), ``regions`` (model ->
 boundary-sample CSV), ``tradeoff`` (model -> exchange rates), ``fit``
 (emissions CSV -> model JSON), ``predict`` (model + point -> natural
 response). Exit status: 0 on success, 2 for input errors, 3 for
-numerical failures, numpy overflow and invalid operations included.
+numerical failures, numpy overflow and invalid operations included, or
+when memory runs out.
 
 argparse converts every argument, each number by ``modelio.strict_number``
 and ``--terms`` by ``model.parse_terms``, so the CLI parses no term label;
 commands call the library (``fit`` only ``fitting.fit_emissions``) and
-write the text it renders, formatting no numbers (``predict`` writes a repr).
+return the text it renders, formatting no numbers (``predict`` returns a
+repr). ``main`` writes that text once, as UTF-8 whatever the locale: to
+``-o`` through ``modelio.atomic_write``, or to stdout. ``fit``'s ``-o`` is
+the model file it saves, so its summary always goes to stdout.
 
 Each command imports only what it runs. A module that only some
 commands use (``report``, which brings ``tradeoff``, and ``fitting``) is
@@ -82,55 +86,40 @@ def _parse_model_path(text: str) -> str:  # "-" is stdout for every other comman
     return _parse_output(text)
 
 
-def _write_or_print(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        atomic_write(path, text)
-
-
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> str:
     from .report import run_analysis
 
     model = load_model(args.model)
     report = run_analysis(model, pairs=args.pairs, bound=args.bound_M, pairing=args.pairing,
                           center=args.center, source_digest=file_digest(args.model))
-    _write_or_print(report.to_json() if args.format == "json" else report.to_text(),
-                    args.output)
-    return 0
+    return report.to_json() if args.format == "json" else report.to_text()
 
 
-def _cmd_regions(args) -> int:
+def _cmd_regions(args) -> str:
     canon = canonicalize(load_model(args.model))
     if args.center is not None:
         canon = with_center(canon, args.center)
-    text = emit_plot_csv(region(canon, *args.pair, args.bound_M), args.samples, args.t_max)
-    _write_or_print(text, args.output)
-    return 0
+    return emit_plot_csv(region(canon, *args.pair, args.bound_M), args.samples, args.t_max)
 
 
-def _cmd_tradeoff(args) -> int:
+def _cmd_tradeoff(args) -> str:
     from .report import run_analysis
 
     model = load_model(args.model)
     lines = run_analysis(model, pairs=[], pairing=args.pairing).tradeoff_lines(with_bound=True)
-    _write_or_print("".join(f"{line}\n" for line in lines), args.output)
-    return 0
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> str:
     from .fitting import fit_emissions
 
     result = fit_emissions(args.data, args.terms, args.exponent, args.exclude_years)
-    save_model(result.model, args.output)
-    sys.stdout.write(result.to_text() + f"model written to {args.output}\n")
-    return 0
+    save_model(result.model, args.model_path)
+    return result.to_text() + f"model written to {args.model_path}\n"
 
 
-def _cmd_predict(args) -> int:
-    value = predict_response(load_model(args.model), args.at)
-    sys.stdout.write(f"{value!r}\n")
-    return 0
+def _cmd_predict(args) -> str:
+    return f"{predict_response(load_model(args.model), args.at)!r}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="response transform power, e.g. -2.376")
     fit.add_argument("--exclude-years", type=_parse_years, dest="exclude_years", default="",
                      help="comma-separated years to drop, e.g. '1964'")
-    fit.add_argument("-o", "--output", type=_parse_model_path, required=True, help="model JSON path")
+    fit.add_argument("-o", "--output", type=_parse_model_path, required=True, dest="model_path",
+                     metavar="OUTPUT", help="model JSON path")
     fit.set_defaults(func=_cmd_fit)
 
     predict = sub.add_parser("predict", help="natural-units response at a point")
@@ -204,11 +194,25 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            text = args.func(args)
+        path = getattr(args, "output", None)  # fit's -o is its model file, not the text's
+        if path not in (None, "-"):
+            atomic_write(path, text)
+        elif hasattr(sys.stdout, "buffer"):
+            # the bytes -o would write, whatever the locale; surrogateescape gives
+            # back an undecodable argv path, which fit echoes, as the bytes given
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
+        else:  # a text-only stream, such as redirect_stdout's StringIO
+            sys.stdout.write(text)
+        return 0
     except FloatingPointError as exc:  # numpy arithmetic that no library check caught
         what = ("overflowed past the largest float" if str(exc).startswith("overflow")
                 else "gave an undefined result")
         sys.stderr.write(f"rsmcanon: NumericalError: {args.command}: arithmetic {what}\n")
+        return NumericalError.exit_code
+    except MemoryError:  # an allocation numpy or Python refused; nothing was written
+        sys.stderr.write(f"rsmcanon: MemoryError: {args.command}: out of memory\n")
         return NumericalError.exit_code
     except RsmError as exc:
         # a stage-tagged message already starts with "[stage] "

@@ -91,7 +91,8 @@ def load_model_document(path) -> dict:
     with open(path, encoding="utf-8-sig") as handle:
         try:
             doc = json.load(handle)
-        except ValueError as exc:  # malformed, or an integer literal past int()'s digit limit
+        except (ValueError, RecursionError) as exc:  # malformed, an integer past int()'s
+            # digit limit, or arrays and objects nested past the recursion limit
             raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
                              if isinstance(exc, json.JSONDecodeError) else f"{path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -174,11 +174,15 @@ class TestModelFiles:
             assert main(["analyze", str(path)]) == 2
         assert err.getvalue() == f"rsmcanon: SchemaError: {path}: {named} in the float range\n"
 
-    def test_integer_past_parse_limit_is_a_parse_error(self, tmp_path):
-        path = tmp_path / "long.json"
-        path.write_text('{"variables": ["x"], "exponent": 1.0, "intercept": %s, '
-                        '"terms": []}' % ("9" * (sys.get_int_max_str_digits() + 1)))
-        with pytest.raises(rc.ParseError, match="integer string conversion"):
+    @pytest.mark.parametrize("text, match", [
+        ('{"variables": ["x"], "exponent": 1.0, "intercept": %s, "terms": []}'
+         % ("9" * (sys.get_int_max_str_digits() + 1)), "integer string conversion"),
+        ('{"variables": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
+    ], ids=["long-integer", "deep-nesting"])
+    def test_json_past_a_parser_limit_is_a_parse_error(self, tmp_path, text, match):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(rc.ParseError, match=match):
             rc.load_model(path)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -868,6 +872,18 @@ class TestCli:
         assert one_error_line(capsys, "NumericalError") == (
             "rsmcanon: NumericalError: predict: arithmetic gave an undefined result\n")
 
+    def test_out_of_memory_exits_3_and_writes_nothing(self, model_path, tmp_path, capsys,
+                                                       monkeypatch):
+        def refuse(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(rc.cli, "emit_plot_csv", refuse)
+        out = tmp_path / "big.csv"
+        assert main(["regions", model_path, "--pair", "1,3", "-o", str(out)]) == 3
+        assert one_error_line(capsys, "MemoryError") == (
+            "rsmcanon: MemoryError: regions: out of memory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["eu.json"]  # the model_path fixture
+
     def test_fit_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         rows = []
@@ -1357,11 +1373,11 @@ class TestAtomicWrite:
         assert len(os.listdir(fds)) == before
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", [["analyze"], ["regions", "--pair", "1,3"]],
-                             ids=["analyze", "regions"])
+    @pytest.mark.parametrize("command", [["analyze"], ["regions", "--pair", "1,3"], ["tradeoff"]],
+                             ids=["analyze", "regions", "tradeoff"])
     def test_cli_output_is_utf8_under_an_ascii_locale(self, tmp_path, command):
-        # a variable named outside ASCII: the file holds the bytes a UTF-8
-        # locale writes, as every reader in modelio reads UTF-8
+        # a variable named outside ASCII: stdout and -o carry the bytes a
+        # UTF-8 locale writes, as every reader in modelio reads UTF-8
         text = rc.bundled_eu_model_path().read_text(encoding="utf-8")
         model = tmp_path / "model.json"
         model.write_text(text.replace('"Li"', '"Lí"'), encoding="utf-8")
@@ -1369,15 +1385,26 @@ class TestAtomicWrite:
         written = []
         for locale, utf8_mode in (("C", "0"), ("C.UTF-8", "1")):
             out = tmp_path / f"out.{locale}"
-            run = subprocess.run([sys.executable, "-m", "rsmcanon.cli", *command, str(model),
-                                  "-o", str(out)],
-                                 env=dict(os.environ, PYTHONPATH=src, LC_ALL=locale,
-                                          PYTHONUTF8=utf8_mode),
-                                 capture_output=True)
-            assert (run.returncode, run.stderr) == (0, b"")
-            written.append(out.read_bytes())
+            for output in (["-o", str(out)], []):
+                run = subprocess.run([sys.executable, "-m", "rsmcanon.cli", *command, str(model),
+                                      *output],
+                                     env=dict(os.environ, PYTHONPATH=src, LC_ALL=locale,
+                                              PYTHONUTF8=utf8_mode),
+                                     capture_output=True)
+                assert (run.returncode, run.stderr) == (0, b"")
+            assert run.stdout == out.read_bytes()
+            written.append(run.stdout)
         assert written[0] == written[1]
         assert "Lí".encode() in written[0]
+
+    def test_cli_writes_text_to_a_stdout_without_buffer(self, model_path, tmp_path):
+        # redirect_stdout's StringIO has no byte layer: it gets the text -o writes
+        out = tmp_path / "t.txt"
+        assert main(["tradeoff", model_path, "-o", str(out)]) == 0
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["tradeoff", model_path]) == 0
+        assert stdout.getvalue() == out.read_text(encoding="utf-8") != ""
 
     def test_symlink_is_replaced_by_a_file(self, tmp_path):
         target, path = tmp_path / "target.csv", tmp_path / "out.csv"
