@@ -12,9 +12,12 @@ quantities in thousand metric tons and a blank or positive co2_ppmv;
 ``load_emissions`` returns the rejected rows and the per-year totals
 across countries, less a year exclusion list, in the file's units.
 
-All file writes go through a write-temp-then-rename path so partial
-output never lands under the target name; a file that already holds
-the output is left in place and only touched.
+Every file write goes through ``atomic_write``, by the rule ``open``
+follows for modes. A regular file is replaced whole through a
+write-temp-then-rename path, so partial output never lands under the
+target name, and it keeps its mode; a file that already holds the
+output is left in place and only touched. A new file gets ``open``'s
+mode, 0o666 less the umask. A FIFO or a device is written in place.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import operator
 import os
 import stat
 import sys
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
@@ -45,42 +47,48 @@ EMISSIONS_NAMES = ("Li", "Ga", "Fl", "Bu")
 
 
 def atomic_write(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, whatever the locale, through a
-    temporary file and a rename, with the mode a plain ``open`` would give
-    (0o666 less the umask).
+    """Write ``text`` to ``path`` as UTF-8, whatever the locale, by the rule
+    ``open(path, "w")`` follows: a new file gets 0o666 less the umask, and
+    an existing file keeps its permission bits.
 
-    A regular file that already has that mode and holds ``text`` is only
-    touched (its times set to now). Renaming over an existing file makes
-    ext4 (``auto_da_alloc``) flush the new data first, which takes tens
-    of milliseconds and would write the same bytes again."""
-    umask = os.umask(0)
-    os.umask(umask)
-    mode = 0o666 & ~umask
+    A regular file is replaced through a temporary file and a rename; one
+    that holds ``text`` already is only touched (its times set to now).
+    Renaming over an existing file makes ext4 (``auto_da_alloc``) flush
+    the new data first, which takes tens of milliseconds and would write
+    the same bytes again. A symlink is replaced, never followed, by a new
+    file. A FIFO or a device is opened and written in place."""
     try:
         st = os.lstat(path)
-        if stat.S_ISREG(st.st_mode) and stat.S_IMODE(st.st_mode) == mode:
+    except OSError:  # missing or unreachable: creating the temporary file says which
+        st = None
+    mode = None  # a new file gets open's
+    if st is not None and stat.S_ISREG(st.st_mode):
+        mode = stat.S_IMODE(st.st_mode)
+        try:
             with open(path, encoding="utf-8", newline="") as handle:
                 same = handle.read() == text
             if same:
                 os.utime(path)
                 return
-    except (OSError, ValueError):  # missing, unreadable or not text: write it
-        pass
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None  # None while mkstemp runs: an OSError there names a temporary file too
+        except (OSError, ValueError):  # unreadable or not text: write it
+            pass
+    elif st is not None and not stat.S_ISLNK(st.st_mode):  # a FIFO, a device or a directory
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:  # closes fd on every path
-            os.fchmod(fd, mode)
+        with open(tmp, "x", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
         try:
-            if tmp is not None:
-                os.unlink(tmp)
+            os.unlink(tmp)
         except OSError:
             pass
-        if isinstance(exc, OSError) and (tmp is None or exc.filename == tmp):  # name path alone
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the path given alone
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
@@ -110,6 +118,13 @@ def load_model_document(path) -> dict:
         raise SchemaError(f"{path}: duplicate variable names")
     if not isinstance(doc.get("response_label", ""), str):
         raise SchemaError(f"{path}: 'response_label' must be a string")
+    for key, text in (("variables", "".join(doc["variables"])),
+                      ("response_label", doc.get("response_label", ""))):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # json reads a lone surrogate from "\ud800"
+            raise SchemaError(f"{path}: {key!r} must be text UTF-8 can encode; "
+                              f"{text[exc.start]!r} is a lone surrogate") from None
     _json_float(doc["exponent"], f"{path}: 'exponent'", finite=False)  # build_model names NaN, inf
     _json_float(doc["intercept"], f"{path}: 'intercept'")
     if not isinstance(doc["terms"], list):

@@ -200,6 +200,10 @@ class TestModelFiles:
         (model_doc(response_label=5), "'response_label' must be a string"),
         ({**model_doc(), "response_label": None}, "'response_label' must be a string"),
         (model_doc(response_label=["a"]), "'response_label' must be a string"),
+        (model_doc(variables=["\ud800"]),
+         "'variables' must be text UTF-8 can encode; '\\ud800' is a lone surrogate"),
+        (model_doc(response_label="\ud800"),
+         "'response_label' must be text UTF-8 can encode; '\\ud800' is a lone surrogate"),
     ])
     def test_schema_error_names_file_and_rule(self, tmp_path, doc, message):
         path = tmp_path / "model.json"
@@ -1028,8 +1032,9 @@ class TestCli:
         err = one_error_line(capsys, "NumericalError")
         assert "[canonical] an eigenvalue exceeds the largest float" in err
 
-    def test_output_files_get_umask_mode(self, eu_model, model_path, tmp_path):
-        old = os.umask(0o022)
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_output_files_get_umask_mode(self, eu_model, model_path, tmp_path, umask, mode):
+        old = os.umask(umask)
         try:
             rc.save_model(eu_model, tmp_path / "m.json")
             main(["regions", model_path, "--pair", "1,3", "--samples", "10",
@@ -1038,7 +1043,7 @@ class TestCli:
         finally:
             os.umask(old)
         for name in ("m.json", "r.csv", "t.txt"):
-            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode
 
 
 def saddle_model_file(path):
@@ -1301,20 +1306,23 @@ class TestInputChecks:
 
 class TestAtomicWrite:
     def test_unchanged_file_is_touched_not_replaced(self, tmp_path):
+        # whatever its mode, which it keeps: 0o600 here
         path = tmp_path / "out.csv"
         atomic_write(path, "a,b\n1,2\n")
+        path.chmod(0o600)
         inode = path.stat().st_ino
         os.utime(path, (0, 0))
         atomic_write(path, "a,b\n1,2\n")
         assert path.stat().st_ino == inode
         assert path.stat().st_mtime > 0
+        assert path.stat().st_mode & 0o777 == 0o600
         assert path.read_text() == "a,b\n1,2\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     @pytest.mark.parametrize("old, mode, new", [
         ("a,b\n", 0o644, "a,c\n"),       # other text
         ("a,b\r\n", 0o644, "a,b\n"),     # other line ends
-        ("a,b\n", 0o600, "a,b\n"),       # other mode
+        ("a,b\n", 0o600, "a,c\n"),       # other text, and a mode the umask would not give
     ])
     def test_other_file_is_replaced(self, tmp_path, old, mode, new):
         path = tmp_path / "out.csv"
@@ -1328,7 +1336,7 @@ class TestAtomicWrite:
             os.umask(umask)
         assert path.stat().st_ino != inode
         assert path.read_bytes() == new.encode()
-        assert path.stat().st_mode & 0o777 == 0o644
+        assert path.stat().st_mode & 0o777 == mode
 
     @pytest.mark.parametrize("unlink_fails", [False, True])
     def test_failed_rename_is_raised_after_cleanup(self, tmp_path, monkeypatch, unlink_fails):
@@ -1365,13 +1373,15 @@ class TestAtomicWrite:
         def refuse(fd, mode):
             raise OSError("chmod refused")
 
+        path = tmp_path / "out.csv"
+        path.write_text("a,b\n")  # fchmod runs only to keep an existing file's mode
         monkeypatch.setattr(os, "fchmod", refuse)
         before = len(os.listdir(fds))
         for _ in range(5):
             with pytest.raises(OSError, match="^chmod refused$"):
-                atomic_write(tmp_path / "out.csv", "a,b\n")
+                atomic_write(path, "a,c\n")
         assert len(os.listdir(fds)) == before
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("command", [["analyze"], ["regions", "--pair", "1,3"], ["tradeoff"]],
                              ids=["analyze", "regions", "tradeoff"])
@@ -1406,9 +1416,39 @@ class TestAtomicWrite:
             assert main(["tradeoff", model_path]) == 0
         assert stdout.getvalue() == out.read_text(encoding="utf-8") != ""
 
+    def test_umask_is_never_read(self, tmp_path, monkeypatch):
+        # the umask is process-wide: setting it to read it races other threads
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        path = tmp_path / "out.csv"
+        for text in ("a,b\n", "a,c\n", "a,c\n"):  # new, rewritten, unchanged
+            atomic_write(path, text)
+        assert path.read_text() == "a,c\n"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        # as open(path, "w") writes it; the read end is open, so nothing blocks
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            atomic_write(path, "a,b\n1,2\n")
+            assert os.read(reader, 1 << 16) == b"a,b\n1,2\n"
+        finally:
+            os.close(reader)
+        assert path.is_fifo()
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
     def test_symlink_is_replaced_by_a_file(self, tmp_path):
         target, path = tmp_path / "target.csv", tmp_path / "out.csv"
         target.write_text("a,b\n")
+        target.chmod(0o600)  # not followed: the new file gets a new file's mode
         path.symlink_to(target)
-        atomic_write(path, "a,b\n")
+        umask = os.umask(0o022)
+        try:
+            atomic_write(path, "a,b\n")
+        finally:
+            os.umask(umask)
         assert not path.is_symlink() and path.read_text() == "a,b\n"
+        assert path.stat().st_mode & 0o777 == 0o644 and target.stat().st_mode & 0o777 == 0o600
