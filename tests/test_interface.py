@@ -1323,8 +1323,10 @@ class TestAtomicWrite:
         ("a,b\n", 0o644, "a,c\n"),       # other text
         ("a,b\r\n", 0o644, "a,b\n"),     # other line ends
         ("a,b\n", 0o600, "a,c\n"),       # other text, and a mode the umask would not give
+        ("a,b\n", 0o600, "a,b\n"),       # only that mode: the same text, so only touched
     ])
     def test_other_file_is_replaced(self, tmp_path, old, mode, new):
+        # replaced exactly when the bytes differ; the mode is kept either way
         path = tmp_path / "out.csv"
         path.write_bytes(old.encode())
         path.chmod(mode)
@@ -1334,7 +1336,7 @@ class TestAtomicWrite:
             atomic_write(path, new)
         finally:
             os.umask(umask)
-        assert path.stat().st_ino != inode
+        assert (path.stat().st_ino != inode) == (old != new)
         assert path.read_bytes() == new.encode()
         assert path.stat().st_mode & 0o777 == mode
 
